@@ -22,9 +22,6 @@ from .errors import (
 from .estimators import (
     EstimateResult,
     ExperimentConfig,
-    estimate_crude,
-    estimate_hrt,
-    estimate_is,
     replicate,
     sd_eff,
     solve_event_theta,
@@ -62,9 +59,6 @@ __all__ = [
     "TiltSolution",
     "benchmark_keys",
     "clayton_corner_prob",
-    "estimate_crude",
-    "estimate_hrt",
-    "estimate_is",
     "format_comparison",
     "get_case",
     "load_vine",

@@ -393,7 +393,7 @@ def run_case(
     n: int = 500,
     M: int = 5000,
     seed: int = 0,
-    threads: int | None = None,
+    threads: int = 1,
     p_values: tuple[float, ...] | None = None,
 ) -> list[BenchRow]:
     """Estimate every requested cell of a benchmark case.

@@ -24,6 +24,7 @@ from ..errors import DomainError, ParameterError, ShapeError
 from ..randkit import (
     MarginSpec,
     RngStream,
+    _check_sigma,
     _cholesky,
     margin_cdf,
     margin_quantile,
@@ -67,17 +68,7 @@ class CopulaSpec:
         if self.family in ("gaussian", "student-t"):
             if self.sigma is None:
                 raise ParameterError(f"{self.family} copula requires a correlation matrix")
-            sigma = np.asarray(self.sigma, dtype=np.float64)
-            if sigma.shape != (d, d):
-                raise ShapeError(
-                    f"correlation matrix shape {sigma.shape} does not match {d} margins"
-                )
-            if not np.allclose(sigma, sigma.T, atol=1e-12):
-                raise ParameterError("correlation matrix must be symmetric")
-            if not np.allclose(np.diag(sigma), 1.0, atol=1e-12):
-                raise ParameterError("correlation matrix must have unit diagonal")
-            _cholesky(sigma)  # fails fast if not positive definite
-            object.__setattr__(self, "sigma", sigma)
+            object.__setattr__(self, "sigma", _check_sigma(self.sigma, d, unit_diag=True))
         if self.family == "student-t" and not self.nu > 0:
             raise ParameterError(f"degrees of freedom must be positive, got {self.nu}")
         if self.family == "clayton" and not self.delta > 0:
@@ -105,6 +96,8 @@ class CornerEvent:
         if self.direction not in ("upper", "lower"):
             raise ParameterError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
         object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=np.float64)))
+        if not np.all(np.isfinite(self.a)):
+            raise DomainError(f"thresholds must be finite, got {self.a}")
         if self.a_star is not None:
             object.__setattr__(
                 self, "a_star", np.atleast_1d(np.asarray(self.a_star, dtype=np.float64))
@@ -113,11 +106,7 @@ class CornerEvent:
 
 def transform_event(c: CopulaSpec, e: CornerEvent) -> CornerEvent:
     """Fill in the latent-scale thresholds of a corner event."""
-    if e.a.shape[0] != c.d:
-        raise ShapeError(f"event has {e.a.shape[0]} thresholds for a {c.d}-dimensional copula")
-    u0 = np.array([margin_cdf(c.margins[i], e.a[i]) for i in range(c.d)])
-    if np.any(u0 <= 0.0) or np.any(u0 >= 1.0):
-        raise DomainError(f"thresholds {e.a} fall outside the margin support")
+    u0 = event_uniform_thresholds(c, e)
     if c.family == "gaussian":
         a_star = ndtri(u0)
     elif c.family == "student-t":
@@ -129,6 +118,8 @@ def transform_event(c: CopulaSpec, e: CornerEvent) -> CornerEvent:
 
 def event_uniform_thresholds(c: CopulaSpec, e: CornerEvent) -> np.ndarray:
     """Copula-scale thresholds u0_i = F_i(a_i), validated against the support."""
+    if e.a.shape[0] != c.d:
+        raise ShapeError(f"event has {e.a.shape[0]} thresholds for a {c.d}-dimensional copula")
     u0 = np.array([float(margin_cdf(c.margins[i], e.a[i])) for i in range(c.d)])
     if np.any(u0 <= 0.0) or np.any(u0 >= 1.0):
         raise DomainError(f"thresholds {e.a} fall outside the margin support")

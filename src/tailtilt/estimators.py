@@ -7,7 +7,8 @@ which works for every model including vines. ``is-t2`` tilts the model's
 own latent representation (mean shift for the Gaussian copula, the
 gamma-normal pair for the t copula, the frailty construction for Clayton).
 ``is-t3`` twists the hazard of each uniform with one shared scalar.
-``is-ld`` samples the t family at its large-deviation point.
+``is-ld`` samples the t family at its large-deviation point. Every method
+runs through :func:`replicate`.
 
 Every method draws replication r from ``make_stream(seed, r)``, so results
 are bit-identical no matter how replications are scheduled across threads.
@@ -25,7 +26,6 @@ solution's ``reflected`` flag. The frailty tilt covers upper corners only.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -59,9 +59,6 @@ from .tilting import (
 __all__ = [
     "ExperimentConfig",
     "EstimateResult",
-    "estimate_crude",
-    "estimate_is",
-    "estimate_hrt",
     "replicate",
     "solve_event_theta",
     "sd_eff",
@@ -97,6 +94,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose one of {_METHODS}")
+        for name, v in (("n", self.n), ("M", self.M)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.n < 1 or self.M < 1:
             raise ConfigError(f"need n >= 1 and M >= 1, got n={self.n}, M={self.M}")
         if self.route not in ("direct", "cim"):
@@ -110,7 +110,7 @@ class EstimateResult:
     ``sd`` is the standard deviation of the M per-replication estimates;
     with a single replication it falls back to the within-run standard
     error and ``sd_within_run`` is set. ``wnrv`` uses the estimate itself
-    as reference unless :func:`replicate` was given one.
+    as reference; :func:`wnrv` computes it against any other.
     """
 
     u_hat: float
@@ -236,8 +236,8 @@ def solve_event_theta(
         return replace(solve_theta_large_deviation(plan.family, **solver_kw),
                        reflected=plan.reflected)
     if cfg.method == "is-t3":
-        _, sol = solve_hrt_theta(plan.family, plan.indicator,
-                                 make_stream(cfg.seed, stream_id), **solver_kw)
+        sol = solve_hrt_theta(plan.family, plan.indicator,
+                              make_stream(cfg.seed, stream_id), **solver_kw)
         return replace(sol, reflected=plan.reflected)
 
     gaussian = cfg.method == "is-t2" and not _is_vine(model) and model.family == "gaussian"
@@ -292,25 +292,16 @@ def _build_rep_fn(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray |
     return rep
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("TAILTILT_THREADS", "").strip()
-        threads = int(env) if env else min(4, os.cpu_count() or 1)
-    if threads < 1:
-        raise ParameterError(f"thread count must be at least 1, got {threads}")
-    return threads
-
-
-def replicate(
-    cfg: ExperimentConfig, *, threads: int | None = None, u_ref: float | None = None
-) -> EstimateResult:
+def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     """Run M independent replications and aggregate them.
 
-    Replication r draws from ``make_stream(cfg.seed, r)``; the result is
-    identical for any thread count (set via ``threads`` or the
-    TAILTILT_THREADS environment variable). Solving for the tilt, when
-    requested, happens before the clock starts.
+    Replication r draws from ``make_stream(cfg.seed, r)``, so the result is
+    bit-identical for any ``threads``; more than one thread spreads the
+    replications over a pool. Solving for the tilt, when requested, happens
+    before the clock starts.
     """
+    if threads < 1:
+        raise ParameterError(f"thread count must be at least 1, got {threads}")
     plan = _plan_for(cfg) if cfg.method != "naive" else None
     theta = _resolve_theta(cfg, plan) if plan is not None else None
     rep_fn = _build_rep_fn(cfg, plan, theta)
@@ -324,14 +315,13 @@ def replicate(
         est[r] = terms.mean()
         within[r] = terms.std() / np.sqrt(cfg.n)
 
-    workers = _thread_count(threads)
     t0 = time.perf_counter()
-    if workers == 1 or M == 1:
+    if threads == 1 or M == 1:
         for r in range(M):
             run(r)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(M), chunksize=max(1, M // (workers * 8))))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, range(M), chunksize=max(1, M // (threads * 8))))
     seconds = time.perf_counter() - t0
 
     u_hat = float(est.mean())
@@ -341,35 +331,9 @@ def replicate(
     else:
         sd = float(within[0])
         sd_within = True
-    ref = u_ref if u_ref is not None else (u_hat if u_hat > 0.0 else None)
-    wn = (sd * sd / (ref * ref)) * (seconds / M) if ref else None
+    wn = (sd * sd / (u_hat * u_hat)) * (seconds / M) if u_hat > 0.0 else None
     return EstimateResult(u_hat=u_hat, sd=sd, n=cfg.n, reps=M, seconds=seconds,
                           wnrv=wn, method=cfg.method, sd_within_run=sd_within)
-
-
-def estimate_crude(cfg: ExperimentConfig, **kw) -> EstimateResult:
-    """Crude Monte Carlo estimate of the corner probability."""
-    if cfg.method != "naive":
-        cfg = replace(cfg, method="naive")
-    return replicate(cfg, **kw)
-
-
-def estimate_is(cfg: ExperimentConfig, **kw) -> EstimateResult:
-    """Importance-sampling estimate with any of the tilted methods."""
-    if cfg.method == "naive":
-        raise ConfigError("estimate_is needs an importance-sampling method")
-    return replicate(cfg, **kw)
-
-
-def estimate_hrt(cfg: ExperimentConfig, **kw) -> EstimateResult:
-    """Hazard-twist estimate; the scalar twist must lie strictly in (0, 1)."""
-    if cfg.method != "is-t3":
-        cfg = replace(cfg, method="is-t3")
-    if cfg.theta is not None:
-        t0 = float(np.atleast_1d(np.asarray(cfg.theta, dtype=np.float64))[0])
-        if not 0.0 < t0 < 1.0:
-            raise DomainError(f"hazard twist must lie in (0, 1), got {t0:.6g}")
-    return replicate(cfg, **kw)
 
 
 def sd_eff(a: EstimateResult, b: EstimateResult) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
-from .errors import DomainError, FactorizationError, ParameterError
+from .errors import DomainError, FactorizationError, ParameterError, ShapeError
 
 __all__ = [
     "RngStream",
@@ -221,6 +221,20 @@ def _cholesky(sigma: np.ndarray) -> np.ndarray:
             )
         _CHOL_CACHE[key] = L
     return L
+
+
+def _check_sigma(sigma, d: int, *, unit_diag: bool) -> np.ndarray:
+    """``sigma`` as a float array, checked to be a symmetric positive definite
+    d×d matrix, and a correlation matrix when ``unit_diag``."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if sigma.shape != (d, d):
+        raise ShapeError(f"covariance shape {sigma.shape} does not match d={d}")
+    if not np.allclose(sigma, sigma.T, atol=1e-12):
+        raise ParameterError("covariance must be symmetric")
+    if unit_diag and not np.allclose(np.diag(sigma), 1.0, atol=1e-12):
+        raise ParameterError("correlation matrix must have a unit diagonal")
+    _cholesky(sigma)  # fails fast if not positive definite
+    return sigma
 
 
 def sample_mvn(s: RngStream, mean, sigma, n: int = 1) -> np.ndarray:

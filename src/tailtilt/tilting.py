@@ -29,7 +29,9 @@ The solvers minimize the second-moment proxy G(θ) = E_P[1{A} e^{−θ·T+ψ(θ)
 resulting deterministic convex surface, ``solve_theta_gaussian_tallis``
 solves the Gaussian first-order condition through the closed-form truncated
 normal moment, ``solve_theta_large_deviation`` minimizes ψ itself for the t
-family, and ``solve_hrt_theta`` handles the scalar hazard-rate twist.
+family, and ``solve_hrt_theta`` handles the scalar hazard-rate twist. The
+two pilot solvers share one pre-tilt and pilot stage and differ only in the
+minimizer they run on the frozen pilot.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     SolverError,
 )
 from .oracle import rect_prob_gaussian
-from .randkit import RngStream, _cholesky, _trunc_exp_inverse_cdf, sample_gamma, sample_mvn
+from .randkit import RngStream, _check_sigma, _trunc_exp_inverse_cdf, sample_gamma, sample_mvn
 
 __all__ = [
     "TiltFamily",
@@ -97,13 +99,7 @@ class TiltFamily:
         if self.kind in ("mvn-shift", "t-gamma-normal"):
             if self.sigma is None:
                 raise ParameterError(f"{self.kind} requires a covariance matrix")
-            sigma = np.asarray(self.sigma, dtype=np.float64)
-            if sigma.shape != (self.d, self.d):
-                raise ShapeError(f"covariance shape {sigma.shape} does not match d={self.d}")
-            if not np.allclose(sigma, sigma.T, atol=1e-12):
-                raise ParameterError("covariance must be symmetric")
-            _cholesky(sigma)
-            object.__setattr__(self, "sigma", sigma)
+            object.__setattr__(self, "sigma", _check_sigma(self.sigma, self.d, unit_diag=False))
         if self.kind == "t-gamma-normal":
             if not self.nu > 0:
                 raise ParameterError(f"degrees of freedom must be positive, got {self.nu}")
@@ -444,7 +440,7 @@ def first_order_gap(f: TiltFamily, theta, pilot: Pilot) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# coarse pre-tilt by conditional-mean matching
+# coarse pre-tilt by conditional-mean matching, and the pilot stage
 
 
 def _match_te_mean(m: np.ndarray) -> np.ndarray:
@@ -519,6 +515,47 @@ def _rejection_stat_mean(
     return acc / hits, hits
 
 
+def _pilot_stage(f: TiltFamily, indicator, s: RngStream, n_pilot: int, pilot_min_hits: int,
+                 n_pre: int, pre_min_hits: int, pre_theta) -> Pilot:
+    """Pre-tilt, then a pilot drawn at it with at least ``pilot_min_hits`` hits.
+
+    The pre-tilt is ``pre_theta`` when given, else the tilt whose statistic
+    mean matches the event-conditional mean estimated by crude rejection,
+    else, for the t family, its large-deviation tilt. A pilot short of hits
+    is topped up once with three times as many draws before giving up.
+    """
+    if pre_theta is not None:
+        theta_hat = _as_theta(f, pre_theta)
+        _check_domain(f, theta_hat)
+    else:
+        mean, hits_pre = _rejection_stat_mean(f, indicator, s, n_pre, pre_min_hits)
+        if mean is not None:
+            theta_hat = _match_mean(f, mean)
+        elif f.kind == "t-gamma-normal":
+            theta_hat = solve_theta_large_deviation(f).theta_o
+        else:
+            raise DegeneratePilotError(
+                f"crude pre-stage saw {hits_pre} event hits and no pre_theta was given"
+            )
+
+    pilot = draw_pilot(f, indicator, s, n_pilot, theta_hat)
+    if pilot.hits < pilot_min_hits:
+        extra = draw_pilot(f, indicator, s, 3 * n_pilot, theta_hat)
+        pilot = Pilot(
+            stat=np.vstack([pilot.stat, extra.stat]),
+            log_weight=np.concatenate([pilot.log_weight, extra.log_weight]),
+            size=pilot.size + extra.size,
+            hits=pilot.hits + extra.hits,
+            proposal_theta=theta_hat,
+        )
+    if pilot.hits < pilot_min_hits:
+        raise DegeneratePilotError(
+            f"pilot proposal produced {pilot.hits} event hits of {pilot.size} draws, "
+            f"below the required {pilot_min_hits}"
+        )
+    return pilot
+
+
 # ---------------------------------------------------------------------------
 # sample-average-approximation solver
 
@@ -548,13 +585,8 @@ def _newton_minimize_log_g(
     """
     stat = pilot.stat
     lw = pilot.log_weight
-    log_n = np.log(pilot.size)
-
-    def value(th: np.ndarray) -> float:
-        return psi(f, th) + float(logsumexp(lw - stat @ th)) - log_n
-
     th = theta0.astype(np.float64).copy()
-    fval = value(th)
+    fval = _log_g(f, th, pilot)
     gnorm = np.inf
     for it in range(1, max_iters + 1):
         p = softmax(lw - stat @ th)
@@ -580,7 +612,7 @@ def _newton_minimize_log_g(
         slope = float(g @ d)
         while step > 1e-14:
             trial = th + step * d
-            tval = value(trial)
+            tval = _log_g(f, trial, pilot)
             if tval <= fval + 1e-4 * step * slope:
                 th, fval = trial, tval
                 break
@@ -605,7 +637,6 @@ def solve_theta_saa(
     n_pre: int = 200_000,
     pre_min_hits: int = 50,
     pre_theta=None,
-    fallback_theta=None,
     reflected: bool = False,
 ) -> TiltSolution:
     """Minimize the pilot estimate of the second-moment proxy G.
@@ -613,49 +644,19 @@ def solve_theta_saa(
     The pilot proposal comes from a coarse pre-tilt: the tilt whose
     statistic mean matches the event-conditional mean estimated by crude
     rejection. ``pre_theta`` overrides that stage; when rejection cannot
-    reach ``pre_min_hits`` the solver falls back to ``fallback_theta``, or
-    to the large-deviation tilt for the t family, and otherwise raises.
-    ``tol`` bounds the gradient norm of log Ĝ, so it is relative to Ĝ.
+    reach ``pre_min_hits`` the solver falls back to the large-deviation tilt
+    for the t family, and otherwise raises. Damped Newton then descends
+    log Ĝ from the pre-tilt. ``tol`` bounds the gradient norm of log Ĝ, so
+    it is relative to Ĝ.
 
     ``indicator`` receives a :class:`TiltedSample` and must return one
     boolean per row; it should already describe an upper-corner event, with
     any reflection applied by the caller and recorded through ``reflected``.
     """
-    hits_pre = 0
-    if pre_theta is not None:
-        theta_hat = _as_theta(f, pre_theta)
-        _check_domain(f, theta_hat)
-    else:
-        mean, hits_pre = _rejection_stat_mean(f, indicator, s, n_pre, pre_min_hits)
-        if mean is not None:
-            theta_hat = _match_mean(f, mean)
-        elif fallback_theta is not None:
-            theta_hat = _as_theta(f, fallback_theta)
-            _check_domain(f, theta_hat)
-        elif f.kind == "t-gamma-normal":
-            theta_hat = solve_theta_large_deviation(f).theta_o
-        else:
-            raise DegeneratePilotError(
-                f"crude pre-stage saw {hits_pre} event hits and no fallback tilt was given"
-            )
-
-    pilot = draw_pilot(f, indicator, s, n_pilot, theta_hat)
-    if pilot.hits < pilot_min_hits:
-        extra = draw_pilot(f, indicator, s, 3 * n_pilot, theta_hat)
-        pilot = Pilot(
-            stat=np.vstack([pilot.stat, extra.stat]),
-            log_weight=np.concatenate([pilot.log_weight, extra.log_weight]),
-            size=pilot.size + extra.size,
-            hits=pilot.hits + extra.hits,
-            proposal_theta=theta_hat,
-        )
-    if pilot.hits < pilot_min_hits:
-        raise DegeneratePilotError(
-            f"pilot proposal produced {pilot.hits} event hits of {pilot.size} draws, "
-            f"below the required {pilot_min_hits}"
-        )
-
-    theta, gnorm, iters, converged = _newton_minimize_log_g(f, pilot, theta_hat, tol, max_iters)
+    pilot = _pilot_stage(f, indicator, s, n_pilot, pilot_min_hits, n_pre, pre_min_hits,
+                         pre_theta)
+    theta, gnorm, iters, converged = _newton_minimize_log_g(f, pilot, pilot.proposal_theta,
+                                                            tol, max_iters)
     g_val = float(np.exp(_log_g(f, theta, pilot)))
     return TiltSolution(
         theta_o=theta,
@@ -677,14 +678,9 @@ def solve_theta_saa(
 def _check_correlation(sigma) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=np.float64)
     d = sigma.shape[0]
-    if sigma.shape != (d, d) or d < 1 or d > 4:
+    if not 1 <= d <= 4:
         raise ShapeError(f"need a square matrix of dimension 1..4, got shape {sigma.shape}")
-    if not np.allclose(sigma, sigma.T, atol=1e-12):
-        raise ParameterError("matrix must be symmetric")
-    if not np.allclose(np.diag(sigma), 1.0, atol=1e-12):
-        raise ParameterError("matrix must have a unit diagonal")
-    _cholesky(sigma)
-    return sigma
+    return _check_sigma(sigma, d, unit_diag=True)
 
 
 def _norm_pdf(x: np.ndarray) -> np.ndarray:
@@ -874,33 +870,20 @@ def solve_hrt_theta(
     n_pre: int = 200_000,
     pre_min_hits: int = 50,
     pre_theta=None,
-) -> tuple[float, TiltSolution]:
+) -> TiltSolution:
     """Minimize the pilot second-moment proxy over the scalar twist (0, 1).
 
-    Same pilot scheme as :func:`solve_theta_saa`, then a bounded scalar
-    minimization of log Ĝ. Convergence is judged on the argument to within
-    the minimizer's tolerance, since a boundary minimum (an event needing
-    no twist) legitimately keeps a nonzero gradient.
+    Same pre-tilt and pilot stage as :func:`solve_theta_saa`, then a bounded
+    scalar minimization of log Ĝ in place of Newton; ``iterations`` counts
+    the minimizer's steps and the solution is labelled ``"hrt"``.
+    Convergence is judged on the argument to within the minimizer's
+    tolerance, since a boundary minimum (an event needing no twist)
+    legitimately keeps a nonzero gradient.
     """
     if f.kind != "hazard-rate":
         raise ParameterError(f"hazard twist solver applies to hazard-rate, not {f.kind}")
-    if pre_theta is not None:
-        theta_hat = _as_theta(f, pre_theta)
-        _check_domain(f, theta_hat)
-    else:
-        mean, hits_pre = _rejection_stat_mean(f, indicator, s, n_pre, pre_min_hits)
-        if mean is None:
-            raise DegeneratePilotError(
-                f"crude pre-stage saw {hits_pre} event hits and no pre_theta was given"
-            )
-        theta_hat = _match_mean(f, mean)
-
-    pilot = draw_pilot(f, indicator, s, n_pilot, theta_hat)
-    if pilot.hits < pilot_min_hits:
-        raise DegeneratePilotError(
-            f"pilot proposal produced {pilot.hits} event hits of {pilot.size} draws, "
-            f"below the required {pilot_min_hits}"
-        )
+    pilot = _pilot_stage(f, indicator, s, n_pilot, pilot_min_hits, n_pre, pre_min_hits,
+                         pre_theta)
 
     def value(t: float) -> float:
         return _log_g(f, np.array([t]), pilot)
@@ -911,9 +894,9 @@ def solve_hrt_theta(
     p = softmax(pilot.log_weight - pilot.stat[:, 0] * theta)
     grad = float(grad_psi(f, np.array([theta]))[0] - p @ pilot.stat[:, 0])
     g_val = float(np.exp(res.fun))
-    solution = TiltSolution(
+    return TiltSolution(
         theta_o=np.array([theta]),
-        method="saa",
+        method="hrt",
         residual_norm=abs(grad) * g_val,
         iterations=int(getattr(res, "nit", res.nfev)),
         pilot_size=pilot.size,
@@ -921,4 +904,3 @@ def solve_hrt_theta(
         G_hat_at_solution=g_val,
         converged=bool(res.success),
     )
-    return theta, solution

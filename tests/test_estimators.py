@@ -5,13 +5,10 @@ import pytest
 from scipy.special import ndtr, stdtr
 
 from tailtilt.copulas import CopulaSpec, CornerEvent, vine_preset
-from tailtilt.errors import ConfigError, DomainError, ParameterError
+from tailtilt.errors import ConfigError, DomainError, ParameterError, ShapeError
 from tailtilt.estimators import (
     EstimateResult,
     ExperimentConfig,
-    estimate_crude,
-    estimate_hrt,
-    estimate_is,
     replicate,
     sd_eff,
     solve_event_theta,
@@ -55,8 +52,15 @@ def test_config_validation():
         ExperimentConfig(gauss_model(), upper(1.0), "naive", M=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(gauss_model(), upper(1.0), "naive", route="fancy")
-    with pytest.raises(ConfigError):
-        estimate_is(ExperimentConfig(gauss_model(), upper(1.0), "naive"))
+    for bad in ({"n": 100.5}, {"M": 20.0}, {"n": True}, {"M": True}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(gauss_model(), upper(1.0), "naive", **bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            CornerEvent("upper", (bad, bad))
+    for ev in (upper(1.0, d=3), upper(1.0, d=1)):
+        with pytest.raises(ShapeError):
+            replicate(ExperimentConfig(gauss_model(), ev, "naive", n=10, M=2))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +69,7 @@ def test_config_validation():
 
 def test_crude_gaussian_corner():
     cfg = ExperimentConfig(gauss_model(), upper(1.282), "naive", n=500, M=2000, seed=501)
-    r = estimate_crude(cfg)
+    r = replicate(cfg)
     truth = float(ndtr(-1.282)) ** 2
     assert abs(r.u_hat - truth) < 3.0 * r.sd / np.sqrt(r.reps)
     assert abs(r.sd / 4.44e-3 - 1.0) < 0.25
@@ -74,14 +78,14 @@ def test_crude_gaussian_corner():
 
 def test_crude_whole_space():
     cfg = ExperimentConfig(gauss_model(), upper(-37.0), "naive", n=200, M=50, seed=502)
-    r = estimate_crude(cfg)
+    r = replicate(cfg)
     assert r.u_hat == 1.0
     assert r.sd == 0.0
 
 
 def test_crude_clayton_corner():
     cfg = ExperimentConfig(CLAYTON_MODEL, upper(2.130), "naive", n=500, M=2000, seed=503)
-    r = estimate_crude(cfg)
+    r = replicate(cfg)
     truth = clayton_corner_prob(3.0, float(ndtr(2.130)))
     assert abs(r.u_hat - truth) < 3.0 * r.sd / np.sqrt(r.reps)
 
@@ -93,7 +97,7 @@ def test_crude_clayton_corner():
 def test_is_t1_deep_gaussian_corner():
     cfg = ExperimentConfig(gauss_model(), upper(1.857), "is-t1", n=500, M=1000,
                            seed=504, theta=(50.34, 50.34))
-    r = estimate_is(cfg)
+    r = replicate(cfg)
     truth = float(ndtr(-1.857)) ** 2
     assert abs(r.u_hat - truth) < 3.0 * r.sd / np.sqrt(r.reps)
     assert 0.5 < r.sd / 5.20e-5 < 2.0
@@ -102,7 +106,7 @@ def test_is_t1_deep_gaussian_corner():
 def test_is_t2_t_copula_corner():
     cfg = ExperimentConfig(T_MODEL, upper(6.128), "is-t2", n=500, M=1000,
                            seed=505, theta=(3.68, 3.68))
-    r = estimate_is(cfg)
+    r = replicate(cfg)
     a = 3.1419202680056277
     truth = rect_prob_t(5.0, corr(0.0), np.array([a, a]))
     assert abs(r.u_hat - truth) < 3.0 * r.sd / np.sqrt(r.reps)
@@ -112,14 +116,14 @@ def test_is_t2_t_copula_corner():
 def test_is_theta_outside_domain():
     cfg = ExperimentConfig(T_MODEL, upper(6.128), "is-t2", theta=(20.0, 20.0))
     with pytest.raises(DomainError):
-        estimate_is(cfg)
+        replicate(cfg)
 
 
 def test_zero_tilt_matches_crude_bitwise():
     model = gauss_model()
     ev = upper(1.282)
-    direct = estimate_crude(ExperimentConfig(model, ev, "naive", n=500, M=100, seed=7))
-    cim = estimate_crude(ExperimentConfig(model, ev, "naive", n=500, M=100, seed=7, route="cim"))
+    direct = replicate(ExperimentConfig(model, ev, "naive", n=500, M=100, seed=7))
+    cim = replicate(ExperimentConfig(model, ev, "naive", n=500, M=100, seed=7, route="cim"))
     t2 = replicate(ExperimentConfig(model, ev, "is-t2", n=500, M=100, seed=7, theta=(0.0, 0.0)))
     t1 = replicate(ExperimentConfig(model, ev, "is-t1", n=500, M=100, seed=7, theta=(0.0, 0.0)))
     t3 = replicate(ExperimentConfig(model, ev, "is-t3", n=500, M=100, seed=7, theta=(0.0,)))
@@ -130,11 +134,11 @@ def test_zero_tilt_matches_crude_bitwise():
 
 def test_zero_tilt_matches_crude_t_and_clayton():
     tev = upper(2.0)
-    td = estimate_crude(ExperimentConfig(T_MODEL, tev, "naive", n=400, M=50, seed=8))
+    td = replicate(ExperimentConfig(T_MODEL, tev, "naive", n=400, M=50, seed=8))
     tz = replicate(ExperimentConfig(T_MODEL, tev, "is-t2", n=400, M=50, seed=8, theta=(0.0, 0.0)))
     assert (tz.u_hat, tz.sd) == (td.u_hat, td.sd)
     cev = upper(1.115)
-    cd = estimate_crude(ExperimentConfig(CLAYTON_MODEL, cev, "naive", n=400, M=50, seed=8))
+    cd = replicate(ExperimentConfig(CLAYTON_MODEL, cev, "naive", n=400, M=50, seed=8))
     cz = replicate(ExperimentConfig(CLAYTON_MODEL, cev, "is-t2", n=400, M=50, seed=8,
                                     theta=(0.0, 0.0, 0.0)))
     assert (cz.u_hat, cz.sd) == (cd.u_hat, cd.sd)
@@ -143,7 +147,7 @@ def test_zero_tilt_matches_crude_t_and_clayton():
 def test_hazard_twist_estimate():
     cfg = ExperimentConfig(gauss_model(), upper(1.857), "is-t3", n=500, M=1000,
                            seed=506, theta=0.71)
-    r = estimate_hrt(cfg)
+    r = replicate(cfg)
     truth = float(ndtr(-1.857)) ** 2
     assert abs(r.u_hat - truth) < 3.0 * r.sd / np.sqrt(r.reps)
     assert 0.5 < r.sd / 2.43e-4 < 2.0
@@ -152,17 +156,17 @@ def test_hazard_twist_estimate():
 def test_hazard_twist_clayton():
     cfg = ExperimentConfig(CLAYTON_MODEL, upper(2.130), "is-t3", n=500, M=1000,
                            seed=507, theta=0.71)
-    r = estimate_hrt(cfg)
+    r = replicate(cfg)
     truth = clayton_corner_prob(3.0, float(ndtr(2.130)))
     assert abs(r.u_hat - truth) < 3.0 * r.sd / np.sqrt(r.reps)
 
 
 def test_hazard_twist_domain():
     base = ExperimentConfig(gauss_model(), upper(1.857), "is-t3", n=100, M=10, seed=1)
-    for bad in (0.0, 1.0, -0.2, 1.3):
+    for bad in (1.0, -0.2, 1.3):
         with pytest.raises(DomainError):
-            estimate_hrt(ExperimentConfig(gauss_model(), upper(1.857), "is-t3",
-                                          n=100, M=10, seed=1, theta=bad))
+            replicate(ExperimentConfig(gauss_model(), upper(1.857), "is-t3",
+                                       n=100, M=10, seed=1, theta=bad))
     # the unified entry keeps zero as the crude-degenerate case
     r = replicate(ExperimentConfig(gauss_model(), upper(1.857), "is-t3",
                                    n=100, M=10, seed=1, theta=(0.0,)))
@@ -183,14 +187,14 @@ def test_lower_corner_estimates():
     truth = float(ndtr(-1.282)) ** 2
     sol = solve_event_theta(ExperimentConfig(model, ev, "is-t2", seed=510))
     assert sol.reflected
-    r2 = estimate_is(ExperimentConfig(model, ev, "is-t2", n=500, M=500, seed=510,
-                                      theta=sol.theta_o))
+    r2 = replicate(ExperimentConfig(model, ev, "is-t2", n=500, M=500, seed=510,
+                                    theta=sol.theta_o))
     assert abs(r2.u_hat - truth) < 3.0 * r2.sd / np.sqrt(r2.reps)
     # the trunc-exp tilt handles the lower corner with a negative tilt
     sol1 = solve_event_theta(ExperimentConfig(model, ev, "is-t1", seed=510))
     assert np.all(sol1.theta_o < 0.0) and not sol1.reflected
-    r1 = estimate_is(ExperimentConfig(model, ev, "is-t1", n=500, M=500, seed=510,
-                                      theta=sol1.theta_o))
+    r1 = replicate(ExperimentConfig(model, ev, "is-t1", n=500, M=500, seed=510,
+                                    theta=sol1.theta_o))
     assert abs(r1.u_hat - truth) < 3.0 * r1.sd / np.sqrt(r1.reps)
     assert r1.sd < r2.sd < 2.5e-3
 
@@ -200,8 +204,8 @@ def test_lower_corner_hazard_reflects():
     ev = CornerEvent("lower", (-1.857, -1.857))
     sol = solve_event_theta(ExperimentConfig(model, ev, "is-t3", seed=511))
     assert sol.reflected
-    r = estimate_is(ExperimentConfig(model, ev, "is-t3", n=500, M=500, seed=511,
-                                     theta=sol.theta_o))
+    r = replicate(ExperimentConfig(model, ev, "is-t3", n=500, M=500, seed=511,
+                                   theta=sol.theta_o))
     truth = float(ndtr(-1.857)) ** 2
     assert abs(r.u_hat - truth) < 3.0 * r.sd / np.sqrt(r.reps)
 
@@ -241,8 +245,8 @@ def test_large_deviation_dispatch():
     assert np.allclose(sol.theta_o, [a, a], atol=1e-12)
     with pytest.raises(ConfigError):
         solve_event_theta(ExperimentConfig(gauss_model(), upper(1.0), "is-ld"))
-    r = estimate_is(ExperimentConfig(T_MODEL, upper(6.128), "is-ld", n=500, M=500,
-                                     seed=513, theta=sol.theta_o))
+    r = replicate(ExperimentConfig(T_MODEL, upper(6.128), "is-ld", n=500, M=500,
+                                   seed=513, theta=sol.theta_o))
     truth = rect_prob_t(5.0, corr(0.0), np.array([a, a]))
     assert abs(r.u_hat - truth) < 3.0 * r.sd / np.sqrt(r.reps)
 
@@ -298,8 +302,8 @@ def test_replicate_solves_when_theta_missing():
 def test_vine_estimates_agree():
     rv = vine_preset("3d")
     ev = CornerEvent("upper", (0.95, 0.95, 0.95))
-    naive = estimate_crude(ExperimentConfig(rv, ev, "naive", n=500, M=400, seed=516))
-    t1 = estimate_is(ExperimentConfig(rv, ev, "is-t1", n=500, M=400, seed=516))
+    naive = replicate(ExperimentConfig(rv, ev, "naive", n=500, M=400, seed=516))
+    t1 = replicate(ExperimentConfig(rv, ev, "is-t1", n=500, M=400, seed=516))
     gap = abs(naive.u_hat - t1.u_hat)
     joint = np.hypot(naive.sd, t1.sd) / np.sqrt(400)
     assert gap < 3.0 * joint
@@ -325,10 +329,10 @@ def test_sd_eff_basics():
 
 
 def test_sd_eff_deep_corner():
-    naive = estimate_crude(ExperimentConfig(gauss_model(), upper(1.857), "naive",
-                                            n=500, M=2000, seed=517))
-    t1 = estimate_is(ExperimentConfig(gauss_model(), upper(1.857), "is-t1",
-                                      n=500, M=2000, seed=517, theta=(50.34, 50.34)))
+    naive = replicate(ExperimentConfig(gauss_model(), upper(1.857), "naive",
+                                       n=500, M=2000, seed=517))
+    t1 = replicate(ExperimentConfig(gauss_model(), upper(1.857), "is-t1",
+                                    n=500, M=2000, seed=517, theta=(50.34, 50.34)))
     assert abs(sd_eff(naive, t1) / 27.13 - 1.0) < 0.4
 
 
@@ -344,10 +348,10 @@ def test_wnrv_formula():
 
 
 def test_wnrv_field_and_ordering():
-    naive = estimate_crude(ExperimentConfig(gauss_model(), upper(1.857), "naive",
-                                            n=500, M=1000, seed=518))
-    t1 = estimate_is(ExperimentConfig(gauss_model(), upper(1.857), "is-t1",
-                                      n=500, M=1000, seed=518, theta=(50.34, 50.34)))
+    naive = replicate(ExperimentConfig(gauss_model(), upper(1.857), "naive",
+                                       n=500, M=1000, seed=518))
+    t1 = replicate(ExperimentConfig(gauss_model(), upper(1.857), "is-t1",
+                                    n=500, M=1000, seed=518, theta=(50.34, 50.34)))
     assert naive.wnrv == pytest.approx(wnrv(naive, naive.u_hat), rel=1e-12)
     truth = float(ndtr(-1.857)) ** 2
     assert wnrv(t1, truth) < wnrv(naive, truth)
@@ -355,11 +359,11 @@ def test_wnrv_field_and_ordering():
 
 def test_variance_ordering_shallow_corner():
     model, ev = gauss_model(), upper(1.282)
-    naive = estimate_crude(ExperimentConfig(model, ev, "naive", n=500, M=1000, seed=519))
-    t1 = estimate_is(ExperimentConfig(model, ev, "is-t1", n=500, M=1000, seed=519,
-                                      theta=(15.95, 15.95)))
-    t2 = estimate_is(ExperimentConfig(model, ev, "is-t2", n=500, M=1000, seed=519,
-                                      theta=(1.58, 1.58)))
+    naive = replicate(ExperimentConfig(model, ev, "naive", n=500, M=1000, seed=519))
+    t1 = replicate(ExperimentConfig(model, ev, "is-t1", n=500, M=1000, seed=519,
+                                    theta=(15.95, 15.95)))
+    t2 = replicate(ExperimentConfig(model, ev, "is-t2", n=500, M=1000, seed=519,
+                                    theta=(1.58, 1.58)))
     t3 = replicate(ExperimentConfig(model, ev, "is-t3", n=500, M=1000, seed=519,
                                     theta=(0.57,)))
     assert t1.sd < t2.sd < t3.sd < naive.sd

@@ -627,11 +627,21 @@ def test_large_deviation_validation():
 
 def test_hrt_gaussian_corner():
     u0 = float(ndtr(1.857))
-    theta, sol = solve_hrt_theta(hazard_family(), all_above(u0), make_stream(900, 314))
-    assert isinstance(theta, float)
-    assert abs(theta - 0.71) < 0.05
+    sol = solve_hrt_theta(hazard_family(), all_above(u0), make_stream(900, 314))
+    assert isinstance(sol.theta_o[0], float) and sol.theta_o.shape == (1,)
+    assert abs(sol.theta_o[0] - 0.71) < 0.05
     assert sol.converged and sol.pilot_hits >= 200
-    assert sol.theta_o[0] == theta
+    assert sol.method == "hrt"
+
+
+def test_hrt_tops_up_a_short_pilot():
+    # at the zero pre-tilt the first 20,000 pilot draws give 195 hits, short
+    # of 300, so the shared pilot stage draws 60,000 more before solving
+    ind = all_above(float(ndtr(1.282)))
+    sol = solve_hrt_theta(TiltFamily("hazard-rate", 2), ind, make_stream(900, 777),
+                          pre_theta=(0.0,), pilot_min_hits=300)
+    assert sol.pilot_size == 80_000 and sol.pilot_hits >= 300
+    assert sol.method == "hrt"
 
 
 def test_hrt_t_copula_corner():
@@ -641,14 +651,14 @@ def test_hrt_t_copula_corner():
     def ind(ts):
         return np.all(rosenblatt_inverse(c, ts.x) > u0, axis=1)
 
-    theta, _ = solve_hrt_theta(hazard_family(), ind, make_stream(900, 330))
-    assert abs(theta - 0.73) < 0.05
+    sol = solve_hrt_theta(hazard_family(), ind, make_stream(900, 330))
+    assert abs(sol.theta_o[0] - 0.73) < 0.05
 
 
 def test_hrt_whole_space_needs_no_twist():
     everything = lambda ts: np.ones(ts.x.shape[0], dtype=bool)
-    theta, _ = solve_hrt_theta(hazard_family(), everything, make_stream(900, 315))
-    assert abs(theta) < 0.05
+    sol = solve_hrt_theta(hazard_family(), everything, make_stream(900, 315))
+    assert abs(sol.theta_o[0]) < 0.05
 
 
 def test_hrt_validation():
