@@ -393,7 +393,6 @@ def run_case(
     n: int = 500,
     M: int = 5000,
     seed: int = 0,
-    threads: int = 1,
     p_values: tuple[float, ...] | None = None,
 ) -> list[BenchRow]:
     """Estimate every requested cell of a benchmark case.
@@ -418,13 +417,13 @@ def run_case(
         for method in methods:
             cfg = ExperimentConfig(model, event, method, n=n, M=M, seed=seed)
             if method == "naive":
-                res, theta, eff = replicate(cfg, threads=threads), None, None
+                res, theta, eff = replicate(cfg), None, None
                 naive_res = res
             else:
                 sol = solve_event_theta(cfg)
                 cfg = ExperimentConfig(model, event, method, n=n, M=M, seed=seed,
                                        theta=tuple(np.atleast_1d(sol.theta_o)))
-                res = replicate(cfg, threads=threads)
+                res = replicate(cfg)
                 theta = np.atleast_1d(sol.theta_o)
                 eff = sd_eff(naive_res, res) if naive_res is not None and res.sd > 0 else None
             rows.append(BenchRow(case=case.key, method=method, p=p, result=res,

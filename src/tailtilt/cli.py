@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="samples per replication (default 500)")
         p.add_argument("--reps", type=int, help="replications M (default 5000)")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
         p.add_argument("--csv", help="append data rows to this CSV file")
         p.add_argument("--json-out", help="write the diagnostics JSON here too")
 
@@ -109,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--n", type=int)
     ben.add_argument("--reps", type=int)
     ben.add_argument("--seed", type=int)
-    ben.add_argument("--threads", type=int, help="worker threads (default 1)")
     ben.add_argument("--csv", help="append rows here instead of stdout")
 
     rep = sub.add_parser("reproduce", help="compare a benchmark case to its reference")
@@ -118,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--n", type=int)
     rep.add_argument("--reps", type=int)
     rep.add_argument("--seed", type=int)
-    rep.add_argument("--threads", type=int, help="worker threads (default 1)")
     rep.add_argument("--csv", help="also append the measured rows to this CSV file")
 
     return top
@@ -293,7 +290,7 @@ def _cmd_estimate(opt: dict) -> int:
                                    seed=seed, theta=theta, route=cfg.route)
         else:
             theta = tuple(np.atleast_1d(np.asarray(cfg.theta, dtype=np.float64)))
-    result = replicate(cfg, threads=int(opt.get("threads", 1)))
+    result = replicate(cfg)
     family, params = _model_labels(model)
     _emit_json({
         "command": "estimate", "method": method, "family": family, "params": params,
@@ -382,7 +379,6 @@ def _cmd_bench(opt: dict) -> int:
         case = get_case(key)
         rows = run_case(key, methods=methods, n=int(opt.get("n", 500)),
                         M=int(opt.get("reps", 5000)), seed=int(opt.get("seed", 0)),
-                        threads=int(opt.get("threads", 1)),
                         p_values=tuple(opt["p"]) if opt.get("p") else None)
         model = case.model()
         for r in rows:
@@ -396,7 +392,7 @@ def _cmd_reproduce(opt: dict) -> int:
     key = opt["table"]
     case = get_case(key)
     rows = run_case(key, n=int(opt.get("n", 500)), M=int(opt.get("reps", 5000)),
-                    seed=int(opt.get("seed", 0)), threads=int(opt.get("threads", 1)))
+                    seed=int(opt.get("seed", 0)))
     print(format_comparison(key, rows))
     if opt.get("csv"):
         model = case.model()
