@@ -153,27 +153,17 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
     d = model.d
     lower = ev.direction == "lower"
 
-    if cfg.method == "is-t1":
-        f = TiltFamily("trunc-exp-product", d)
+    if cfg.method in ("is-t1", "is-t3"):
+        # the hazard twist is solved over [0, 1), which pushes mass toward 1,
+        # so it meets a lower corner through reflected uniforms
+        t3 = cfg.method == "is-t3"
+        f = TiltFamily("hazard-rate" if t3 else "trunc-exp-product", d)
+        reflect = t3 and lower
 
         def indicator(ts):
-            return _corner_hits(_rinv(model, ts.x), u0, ev.direction)
+            return _corner_hits(_rinv(model, 1.0 - ts.x if reflect else ts.x), u0, ev.direction)
 
-        return _Plan(f, indicator, False)
-
-    if cfg.method == "is-t3":
-        f = TiltFamily("hazard-rate", d)
-        if lower:
-
-            def indicator(ts):
-                return np.all(_rinv(model, 1.0 - ts.x) < u0, axis=1)
-
-            return _Plan(f, indicator, True)
-
-        def indicator(ts):
-            return np.all(_rinv(model, ts.x) > u0, axis=1)
-
-        return _Plan(f, indicator, False)
+        return _Plan(f, indicator, reflect)
 
     if _is_vine(model):
         raise ConfigError(f"{cfg.method} tilts a parametric copula family; vines support "
@@ -182,9 +172,9 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
         raise ConfigError("the large-deviation tilt is defined for the t copula only")
 
     a = np.asarray(transform_event(model, ev).a_star, dtype=np.float64)
+    corner = -a if lower else a
     if model.family == "gaussian":
         f = TiltFamily("mvn-shift", d, sigma=model.sigma)
-        corner = -a if lower else a
 
         def indicator(ts):
             return np.all(ts.x > corner, axis=1)
@@ -192,7 +182,6 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
         return _Plan(f, indicator, lower)
 
     if model.family == "student-t":
-        corner = -a if lower else a
         f = TiltFamily("t-gamma-normal", d, sigma=model.sigma, nu=model.nu, a_star=corner)
 
         def indicator(ts):
@@ -211,47 +200,40 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
     return _Plan(f, indicator, False)
 
 
-def solve_event_theta(
-    cfg: ExperimentConfig,
-    *,
-    stream_id: int = SOLVER_STREAM,
-    solver: str | None = None,
-    **solver_kw,
-) -> TiltSolution:
+def solve_event_theta(cfg: ExperimentConfig, *, solver: str | None = None,
+                      **solver_kw) -> TiltSolution:
     """Solve for the method's tilt on this model and event.
 
     The default picks the deterministic closed-form solver for bivariate
-    Gaussian corners under is-t2, the large-deviation point for is-ld, the
-    scalar twist search for is-t3, and the pilot-based sample-average
-    solver everywhere else. Pass ``solver="saa"`` to force the pilot route,
-    or ``solver="tallis"`` to insist on the closed-form one. Extra keywords
-    go to the chosen solver.
+    Gaussian corners under is-t2, the large-deviation point for is-ld, and
+    otherwise the pilot solver: damped Newton on the pilot estimate of the
+    second moment, which for is-t3 runs over the scalar hazard twist. Pass
+    ``solver="saa"`` to force the pilot solver, or ``solver="tallis"`` to
+    insist on the closed-form one; a solver that does not fit the method
+    raises :class:`ConfigError`. Extra keywords go to the chosen solver.
+    The pilot is drawn from ``make_stream(cfg.seed, SOLVER_STREAM)``.
     """
     if cfg.method == "naive":
         raise ConfigError("the crude estimator uses no tilt")
     plan = _plan_for(cfg)
     model = cfg.model
+    gaussian = cfg.method == "is-t2" and model.family == "gaussian"
+    fits = {None: True, "saa": cfg.method != "is-ld", "tallis": gaussian}
+    if not fits.get(solver, False):
+        raise ConfigError(f"solver {solver!r} does not apply to {cfg.method} here: 'saa' "
+                          "fits every method but is-ld, 'tallis' Gaussian corners under is-t2")
 
     if cfg.method == "is-ld":
-        return replace(solve_theta_large_deviation(plan.family, **solver_kw),
-                       reflected=plan.reflected)
-    if cfg.method == "is-t3":
-        sol = solve_hrt_theta(plan.family, plan.indicator,
-                              make_stream(cfg.seed, stream_id), **solver_kw)
-        return replace(sol, reflected=plan.reflected)
-
-    gaussian = cfg.method == "is-t2" and not _is_vine(model) and model.family == "gaussian"
-    if solver == "tallis" or (solver is None and gaussian and model.d <= 2):
-        if not gaussian:
-            raise ConfigError("the closed-form solver applies to Gaussian corners under is-t2")
+        sol = solve_theta_large_deviation(plan.family, **solver_kw)
+    elif solver == "tallis" or (solver is None and gaussian and model.d <= 2):
         a = np.asarray(transform_event(model, cfg.event).a_star, dtype=np.float64)
         corner = -a if cfg.event.direction == "lower" else a
-        return replace(solve_theta_gaussian_tallis(model.sigma, corner, **solver_kw),
-                       reflected=plan.reflected)
-    if solver not in (None, "saa"):
-        raise ConfigError(f"unknown solver {solver!r}")
-    return solve_theta_saa(plan.family, plan.indicator, make_stream(cfg.seed, stream_id),
-                           reflected=plan.reflected, **solver_kw)
+        sol = solve_theta_gaussian_tallis(model.sigma, corner, **solver_kw)
+    else:
+        solve = solve_hrt_theta if cfg.method == "is-t3" else solve_theta_saa
+        sol = solve(plan.family, plan.indicator, make_stream(cfg.seed, SOLVER_STREAM),
+                    **solver_kw)
+    return replace(sol, reflected=plan.reflected)
 
 
 def _resolve_theta(cfg: ExperimentConfig, plan: _Plan) -> np.ndarray:

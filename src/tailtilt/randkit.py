@@ -30,7 +30,6 @@ __all__ = [
     "make_stream",
     "margin_cdf",
     "margin_quantile",
-    "sample_trunc_exp01",
     "sample_gamma",
     "sample_mvn",
 ]
@@ -133,23 +132,6 @@ def margin_quantile(m: MarginSpec, q):
 
 # ---------------------------------------------------------------------------
 # scalar/vector samplers
-
-
-def sample_trunc_exp01(s: RngStream, theta: float, n: int = 1, *, conjugate: bool) -> np.ndarray:
-    """Draw from an exponentially tilted uniform on (0,1).
-
-    ``conjugate=True`` uses density theta*e^{theta*v}/(e^theta - 1) (mass
-    pushed toward 1 for theta > 0); ``conjugate=False`` uses
-    theta*e^{-theta*v}/(1 - e^{-theta}) (mass pushed toward 0). Both reduce
-    to U(0,1) as theta -> 0; the two are images of each other under either
-    v -> 1 - v or theta -> -theta.
-    """
-    theta = float(theta)
-    if not np.isfinite(theta):
-        raise ParameterError(f"theta must be finite, got {theta}")
-    u = s.uniforms(n)
-    t = theta if conjugate else -theta
-    return _trunc_exp_inverse_cdf(u, t)
 
 
 def _trunc_exp_inverse_cdf(u: np.ndarray, t: float) -> np.ndarray:

@@ -29,17 +29,17 @@ The solvers minimize the second-moment proxy G(θ) = E_P[1{A} e^{−θ·T+ψ(θ)
 resulting deterministic convex surface, ``solve_theta_gaussian_tallis``
 solves the Gaussian first-order condition through the closed-form truncated
 normal moment, ``solve_theta_large_deviation`` minimizes ψ itself for the t
-family, and ``solve_hrt_theta`` handles the scalar hazard-rate twist. The
-two pilot solvers share one pre-tilt and pilot stage and differ only in the
-minimizer they run on the frozen pilot.
+family, and ``solve_hrt_theta`` is the one-parameter case of
+``solve_theta_saa`` for the scalar hazard-rate twist, projected onto [0, 1).
+Every pilot solve runs the same pre-tilt, pilot stage and damped Newton.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 from scipy.special import logsumexp, ndtr, softmax
 
 from .errors import (
@@ -73,6 +73,15 @@ __all__ = [
 
 _KINDS = ("trunc-exp-product", "mvn-shift", "t-gamma-normal", "clayton-mo", "hazard-rate")
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+# pilot solver: pilot draws, gradient-norm tolerance on log Ĝ, and the
+# crude pre-stage hits needed before its mean is trusted
+_N_PILOT = 20_000
+_NEWTON_TOL = 1e-6
+_PRE_MIN_HITS = 50
+# closed-form Gaussian solver: residual tolerance and Newton step cap
+_TALLIS_TOL = 1e-10
+_TALLIS_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -440,7 +449,7 @@ def first_order_gap(f: TiltFamily, theta, pilot: Pilot) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# coarse pre-tilt by conditional-mean matching, and the pilot stage
+# coarse pre-tilt by conditional-mean matching
 
 
 def _match_te_mean(m: np.ndarray) -> np.ndarray:
@@ -489,13 +498,13 @@ def _match_mean(f: TiltFamily, m: np.ndarray) -> np.ndarray:
 
 
 def _rejection_stat_mean(
-    f: TiltFamily, indicator, s: RngStream, n_pre: int, min_hits: int
+    f: TiltFamily, indicator, s: RngStream, n_pre: int
 ) -> tuple[np.ndarray | None, int]:
     """Event-conditional mean of the statistic from crude draws.
 
     Draws in chunks at the zero tilt, escalating to ten times ``n_pre``
-    before giving up. Returns (mean, hits) with mean None when too few
-    draws landed in the event.
+    before giving up. Returns (mean, hits) with mean None when fewer than
+    50 draws landed in the event.
     """
     zero = np.zeros(f.theta_dim)
     total = 0
@@ -503,57 +512,16 @@ def _rejection_stat_mean(
     acc = np.zeros(f.theta_dim)
     budget = 10 * n_pre
     chunk = 100_000
-    while total < n_pre or (hits < min_hits and total < budget):
+    while total < n_pre or (hits < _PRE_MIN_HITS and total < budget):
         m = min(chunk, budget - total)
         ts = sample_tilted(f, s, zero, m)
         keep = np.asarray(indicator(ts), dtype=bool)
         hits += int(np.count_nonzero(keep))
         acc += ts.stat[keep].sum(axis=0)
         total += m
-    if hits < min_hits:
+    if hits < _PRE_MIN_HITS:
         return None, hits
     return acc / hits, hits
-
-
-def _pilot_stage(f: TiltFamily, indicator, s: RngStream, n_pilot: int, pilot_min_hits: int,
-                 n_pre: int, pre_min_hits: int, pre_theta) -> Pilot:
-    """Pre-tilt, then a pilot drawn at it with at least ``pilot_min_hits`` hits.
-
-    The pre-tilt is ``pre_theta`` when given, else the tilt whose statistic
-    mean matches the event-conditional mean estimated by crude rejection,
-    else, for the t family, its large-deviation tilt. A pilot short of hits
-    is topped up once with three times as many draws before giving up.
-    """
-    if pre_theta is not None:
-        theta_hat = _as_theta(f, pre_theta)
-        _check_domain(f, theta_hat)
-    else:
-        mean, hits_pre = _rejection_stat_mean(f, indicator, s, n_pre, pre_min_hits)
-        if mean is not None:
-            theta_hat = _match_mean(f, mean)
-        elif f.kind == "t-gamma-normal":
-            theta_hat = solve_theta_large_deviation(f).theta_o
-        else:
-            raise DegeneratePilotError(
-                f"crude pre-stage saw {hits_pre} event hits and no pre_theta was given"
-            )
-
-    pilot = draw_pilot(f, indicator, s, n_pilot, theta_hat)
-    if pilot.hits < pilot_min_hits:
-        extra = draw_pilot(f, indicator, s, 3 * n_pilot, theta_hat)
-        pilot = Pilot(
-            stat=np.vstack([pilot.stat, extra.stat]),
-            log_weight=np.concatenate([pilot.log_weight, extra.log_weight]),
-            size=pilot.size + extra.size,
-            hits=pilot.hits + extra.hits,
-            proposal_theta=theta_hat,
-        )
-    if pilot.hits < pilot_min_hits:
-        raise DegeneratePilotError(
-            f"pilot proposal produced {pilot.hits} event hits of {pilot.size} draws, "
-            f"below the required {pilot_min_hits}"
-        )
-    return pilot
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +544,7 @@ def _fraction_to_boundary(f: TiltFamily, th: np.ndarray, step: np.ndarray) -> fl
 
 
 def _newton_minimize_log_g(
-    f: TiltFamily, pilot: Pilot, theta0: np.ndarray, tol: float, max_iters: int
+    f: TiltFamily, pilot: Pilot, theta0: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, float, int, bool]:
     """Damped Newton descent of log Ĝ from ``theta0``.
 
@@ -587,14 +555,13 @@ def _newton_minimize_log_g(
     lw = pilot.log_weight
     th = theta0.astype(np.float64).copy()
     fval = _log_g(f, th, pilot)
-    gnorm = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(max_iters + 1):
         p = softmax(lw - stat @ th)
         mu = p @ stat
         g = grad_psi(f, th) - mu
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return th, gnorm, it - 1, True
+        if gnorm <= _NEWTON_TOL or it == max_iters:
+            return th, gnorm, it, gnorm <= _NEWTON_TOL
         cov = (stat * p[:, None]).T @ stat - np.outer(mu, mu)
         H = hess_psi(f, th) + 0.5 * (cov + cov.T)
         jitter = 0.0
@@ -607,7 +574,7 @@ def _newton_minimize_log_g(
                 pass
             jitter = max(jitter * 100.0, 1e-10 * max(np.trace(H), 1.0))
             if jitter > 1e6 * max(np.trace(H), 1.0):
-                return th, gnorm, it, False
+                return th, gnorm, it + 1, False
         step = min(1.0, 0.95 * _fraction_to_boundary(f, th, d))
         slope = float(g @ d)
         while step > 1e-14:
@@ -618,11 +585,7 @@ def _newton_minimize_log_g(
                 break
             step /= 2.0
         else:
-            return th, gnorm, it, False
-    p = softmax(lw - stat @ th)
-    g = grad_psi(f, th) - p @ stat
-    gnorm = float(np.linalg.norm(g))
-    return th, gnorm, max_iters, gnorm <= tol
+            return th, gnorm, it + 1, False
 
 
 def solve_theta_saa(
@@ -630,33 +593,57 @@ def solve_theta_saa(
     indicator,
     s: RngStream,
     *,
-    n_pilot: int = 20_000,
     pilot_min_hits: int = 200,
-    tol: float = 1e-6,
     max_iters: int = 100,
     n_pre: int = 200_000,
-    pre_min_hits: int = 50,
     pre_theta=None,
-    reflected: bool = False,
 ) -> TiltSolution:
     """Minimize the pilot estimate of the second-moment proxy G.
 
     The pilot proposal comes from a coarse pre-tilt: the tilt whose
     statistic mean matches the event-conditional mean estimated by crude
     rejection. ``pre_theta`` overrides that stage; when rejection cannot
-    reach ``pre_min_hits`` the solver falls back to the large-deviation tilt
-    for the t family, and otherwise raises. Damped Newton then descends
-    log Ĝ from the pre-tilt. ``tol`` bounds the gradient norm of log Ĝ, so
-    it is relative to Ĝ.
+    reach 50 hits the solver falls back to the large-deviation tilt for the
+    t family, and otherwise raises. The pilot draws 20,000 rows at the
+    pre-tilt, topped up once with three times as many when short of
+    ``pilot_min_hits`` hits. Damped Newton then descends log Ĝ from the
+    pre-tilt until the gradient norm of log Ĝ, a tolerance relative to Ĝ,
+    is at most 1e-6.
 
     ``indicator`` receives a :class:`TiltedSample` and must return one
     boolean per row; it should already describe an upper-corner event, with
-    any reflection applied by the caller and recorded through ``reflected``.
+    any reflection applied, and recorded on the solution, by the caller.
     """
-    pilot = _pilot_stage(f, indicator, s, n_pilot, pilot_min_hits, n_pre, pre_min_hits,
-                         pre_theta)
-    theta, gnorm, iters, converged = _newton_minimize_log_g(f, pilot, pilot.proposal_theta,
-                                                            tol, max_iters)
+    if pre_theta is not None:
+        theta_hat = _as_theta(f, pre_theta)
+        _check_domain(f, theta_hat)
+    else:
+        mean, hits_pre = _rejection_stat_mean(f, indicator, s, n_pre)
+        if mean is not None:
+            theta_hat = _match_mean(f, mean)
+        elif f.kind == "t-gamma-normal":
+            theta_hat = solve_theta_large_deviation(f).theta_o
+        else:
+            raise DegeneratePilotError(
+                f"crude pre-stage saw {hits_pre} event hits and no pre_theta was given"
+            )
+
+    pilot = draw_pilot(f, indicator, s, _N_PILOT, theta_hat)
+    if pilot.hits < pilot_min_hits:
+        extra = draw_pilot(f, indicator, s, 3 * _N_PILOT, theta_hat)
+        pilot = Pilot(
+            stat=np.vstack([pilot.stat, extra.stat]),
+            log_weight=np.concatenate([pilot.log_weight, extra.log_weight]),
+            size=pilot.size + extra.size,
+            hits=pilot.hits + extra.hits,
+            proposal_theta=theta_hat,
+        )
+    if pilot.hits < pilot_min_hits:
+        raise DegeneratePilotError(
+            f"pilot proposal produced {pilot.hits} event hits of {pilot.size} draws, "
+            f"below the required {pilot_min_hits}"
+        )
+    theta, gnorm, iters, converged = _newton_minimize_log_g(f, pilot, theta_hat, max_iters)
     g_val = float(np.exp(_log_g(f, theta, pilot)))
     return TiltSolution(
         theta_o=theta,
@@ -667,8 +654,23 @@ def solve_theta_saa(
         pilot_hits=pilot.hits,
         G_hat_at_solution=g_val,
         converged=converged,
-        reflected=reflected,
     )
+
+
+def solve_hrt_theta(f: TiltFamily, indicator, s: RngStream, **kw) -> TiltSolution:
+    """Minimize the pilot second-moment proxy over the scalar twist in [0, 1).
+
+    The hazard twist is the one-parameter case of :func:`solve_theta_saa`,
+    which does the work with ``kw``; the solution is labelled ``"hrt"``. Ĝ
+    is convex, so when Newton's minimum lies below 0 the minimum over
+    [0, 1) is at 0 and the twist is projected there. ``G_hat_at_solution``
+    and ``residual_norm`` are then still those at Newton's minimum, not
+    at 0.
+    """
+    if f.kind != "hazard-rate":
+        raise ParameterError(f"hazard twist solver applies to hazard-rate, not {f.kind}")
+    sol = solve_theta_saa(f, indicator, s, **kw)
+    return replace(sol, theta_o=np.maximum(sol.theta_o, 0.0), method="hrt")
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +727,7 @@ def truncated_mvn_first_moment(sigma, lower, theta) -> np.ndarray:
     return sigma @ w / den - shift
 
 
-def solve_theta_gaussian_tallis(
-    sigma, a_star, *, tol: float = 1e-10, max_iters: int = 100
-) -> TiltSolution:
+def solve_theta_gaussian_tallis(sigma, a_star) -> TiltSolution:
     """Solve the Gaussian upper-corner optimality condition deterministically.
 
     The condition equates the event-conditional mean under the conjugate
@@ -746,9 +746,9 @@ def solve_theta_gaussian_tallis(
     theta = np.linalg.solve(sigma, a)
     r = resid(theta)
     iters = 0
-    for _ in range(max_iters):
+    for _ in range(_TALLIS_MAX_ITERS):
         rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol:
+        if rnorm <= _TALLIS_TOL:
             break
         J = np.empty((d, d))
         for j in range(d):
@@ -775,7 +775,7 @@ def solve_theta_gaussian_tallis(
             break
 
     rnorm = float(np.linalg.norm(r))
-    if rnorm > tol:
+    if rnorm > _TALLIS_TOL:
         off = sigma[~np.eye(d, dtype=bool)]
         exchangeable = (d == 1 or np.ptp(off) < 1e-12) and np.ptp(a) < 1e-12
         if exchangeable:
@@ -804,7 +804,7 @@ def solve_theta_gaussian_tallis(
         pilot_size=0,
         pilot_hits=0,
         G_hat_at_solution=g_exact,
-        converged=rnorm <= tol,
+        converged=rnorm <= _TALLIS_TOL,
     )
 
 
@@ -856,51 +856,3 @@ def solve_theta_large_deviation(f: TiltFamily, a_star=None) -> TiltSolution:
     raise SolverError("no active set satisfied the optimality conditions")
 
 
-# ---------------------------------------------------------------------------
-# scalar hazard-rate twist
-
-
-def solve_hrt_theta(
-    f: TiltFamily,
-    indicator,
-    s: RngStream,
-    *,
-    n_pilot: int = 20_000,
-    pilot_min_hits: int = 200,
-    n_pre: int = 200_000,
-    pre_min_hits: int = 50,
-    pre_theta=None,
-) -> TiltSolution:
-    """Minimize the pilot second-moment proxy over the scalar twist (0, 1).
-
-    Same pre-tilt and pilot stage as :func:`solve_theta_saa`, then a bounded
-    scalar minimization of log Ĝ in place of Newton; ``iterations`` counts
-    the minimizer's steps and the solution is labelled ``"hrt"``.
-    Convergence is judged on the argument to within the minimizer's
-    tolerance, since a boundary minimum (an event needing no twist)
-    legitimately keeps a nonzero gradient.
-    """
-    if f.kind != "hazard-rate":
-        raise ParameterError(f"hazard twist solver applies to hazard-rate, not {f.kind}")
-    pilot = _pilot_stage(f, indicator, s, n_pilot, pilot_min_hits, n_pre, pre_min_hits,
-                         pre_theta)
-
-    def value(t: float) -> float:
-        return _log_g(f, np.array([t]), pilot)
-
-    res = minimize_scalar(value, bounds=(1e-9, 1.0 - 1e-9), method="bounded",
-                          options={"xatol": 1e-9, "maxiter": 200})
-    theta = float(res.x)
-    p = softmax(pilot.log_weight - pilot.stat[:, 0] * theta)
-    grad = float(grad_psi(f, np.array([theta]))[0] - p @ pilot.stat[:, 0])
-    g_val = float(np.exp(res.fun))
-    return TiltSolution(
-        theta_o=np.array([theta]),
-        method="hrt",
-        residual_norm=abs(grad) * g_val,
-        iterations=int(getattr(res, "nit", res.nfev)),
-        pilot_size=pilot.size,
-        pilot_hits=pilot.hits,
-        G_hat_at_solution=g_val,
-        converged=bool(res.success),
-    )

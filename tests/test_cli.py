@@ -119,6 +119,15 @@ def test_solve_theta_gaussian_closed_form(capsys):
     assert np.allclose(payload["theta"], [1.58, 1.58], atol=0.05)
 
 
+def test_hazard_twist_projected_onto_zero(capsys):
+    # Ĝ's unconstrained minimum is slightly negative on this near-sure corner
+    code, payload = run_json(capsys, "estimate", "--copula", "gaussian", "--rho", "0",
+                             "--p", "-4", "--method", "is-t3", "--n", "200",
+                             "--reps", "20", "--seed", "311")
+    assert code == 0
+    assert payload["theta"] == [0.0]
+
+
 def test_solve_theta_family_method_mismatch(capsys):
     code, _ = run(capsys, "solve-theta", "--copula", "gaussian", "--rho", "0",
                   "--margins", "std-normal", "--p", "1.282",

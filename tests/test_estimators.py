@@ -231,8 +231,14 @@ def test_solver_dispatch():
     assert np.all(np.abs(saa.theta_o / det.theta_o - 1.0) < 0.05)
     with pytest.raises(ConfigError):
         solve_event_theta(ExperimentConfig(model, upper(1.282), "naive"))
+    for bad in (cfg, ExperimentConfig(model, upper(1.857), "is-t3"),
+                ExperimentConfig(T_MODEL, upper(6.128), "is-ld")):
+        with pytest.raises(ConfigError):
+            solve_event_theta(bad, solver="simplex")
     with pytest.raises(ConfigError):
-        solve_event_theta(cfg, solver="simplex")
+        solve_event_theta(ExperimentConfig(model, upper(1.857), "is-t3"), solver="tallis")
+    with pytest.raises(ConfigError):
+        solve_event_theta(ExperimentConfig(T_MODEL, upper(6.128), "is-ld"), solver="saa")
     with pytest.raises(ConfigError):
         solve_event_theta(ExperimentConfig(T_MODEL, upper(6.128), "is-t2"), solver="tallis")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, stdtr, stdtrit
 
-from tailtilt.errors import FactorizationError, ParameterError, ShapeError
+from tailtilt.errors import FactorizationError, ParameterError, ShapeError, SolverError
 from tailtilt.oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t
 
 
@@ -114,6 +114,21 @@ def test_t_heavy_tail_target_value():
     val = rect_prob_t(5.0, np.eye(2), [astar, astar])
     assert abs(val - 9.998608e-04) < 1e-7
     assert abs(val - 1.00e-03) / 1.00e-03 < 0.05
+
+
+@pytest.mark.parametrize("p, want", [(5.0, 5.9545e-8), (5.6, 2.2209e-9), (6.1, 1.0983e-10)])
+def test_t_deep_corner_keeps_relative_accuracy(p, want):
+    # the t(5) corner at Gaussian depth p; values from a log-space mixture
+    # quadrature independent of this oracle
+    a = stdtrit(5.0, ndtr(p))
+    val = rect_prob_t(5.0, corr(0.5), [a, a])
+    assert abs(val / want - 1.0) < 1e-4
+
+
+def test_t_unresolved_corner_raises():
+    # the true value, about 1e-400, underflows: no silent zero
+    with pytest.raises(SolverError):
+        rect_prob_t(5.0, corr(0.5), [1e80, 1e80])
 
 
 def test_t_monotone_and_direction():

@@ -17,14 +17,19 @@ from tailtilt.randkit import (
     margin_quantile,
     sample_gamma,
     sample_mvn,
-    sample_trunc_exp01,
 )
+from tailtilt.tilting import TiltFamily, sample_tilted
 
 N_BIG = 100_000
 
 # quantile of the t distribution with 2 degrees of freedom at q = 0.9,
 # from the closed form (2q - 1) * sqrt(2 / (4 q (1 - q)))
 T2_QUANTILE_090 = 0.8 * np.sqrt(2.0 / 0.36)
+
+
+def trunc_exp(s, theta: float, n: int) -> np.ndarray:
+    """``n`` draws of density theta e^{theta v}/(e^theta - 1) on (0,1)."""
+    return sample_tilted(TiltFamily("trunc-exp-product", 1), s, (theta,), n).x[:, 0]
 
 
 def trunc_exp_mean(theta: float) -> float:
@@ -166,15 +171,15 @@ def test_quantile_rejects_boundary_arguments(bad):
 
 def test_trunc_exp_zero_tilt_is_plain_uniform_bit_for_bit():
     u = make_stream(11, 0).uniforms(1000)
-    v = sample_trunc_exp01(make_stream(11, 0), 0.0, 1000, conjugate=True)
+    v = trunc_exp(make_stream(11, 0), 0.0, 1000)
     np.testing.assert_array_equal(u, v)
-    w = sample_trunc_exp01(make_stream(11, 0), 0.0, 1000, conjugate=False)
+    w = trunc_exp(make_stream(11, 0), -0.0, 1000)
     np.testing.assert_array_equal(u, w)
 
 
 @pytest.mark.parametrize("theta", [-5.0, -1.0, 0.0, 1.0, 5.0, 20.0])
 def test_trunc_exp_mean_matches_closed_form(theta):
-    v = sample_trunc_exp01(make_stream(3, 1), theta, N_BIG, conjugate=True)
+    v = trunc_exp(make_stream(3, 1), theta, N_BIG)
     assert v.min() > 0.0 and v.max() < 1.0
     se = v.std(ddof=1) / np.sqrt(N_BIG)
     assert abs(v.mean() - trunc_exp_mean(theta)) < 4.0 * se
@@ -182,7 +187,7 @@ def test_trunc_exp_mean_matches_closed_form(theta):
 
 def test_trunc_exp_conjugate_false_reflects_the_mean():
     theta = 2.0
-    v = sample_trunc_exp01(make_stream(9, 4), theta, N_BIG, conjugate=False)
+    v = trunc_exp(make_stream(9, 4), -theta, N_BIG)
     se = v.std(ddof=1) / np.sqrt(N_BIG)
     assert abs(v.mean() - (1.0 - trunc_exp_mean(theta))) < 4.0 * se
     # and the frozen value of the conjugate mean itself at theta = 2
@@ -192,23 +197,23 @@ def test_trunc_exp_conjugate_false_reflects_the_mean():
 def test_trunc_exp_branch_seams_are_continuous():
     # same words on both sides of each branch threshold
     for lo, hi, tol in [(9.9e-7, 1.01e-6, 1e-8), (499.5, 500.5, 1e-4)]:
-        a = sample_trunc_exp01(make_stream(5, 2), lo, 10_000, conjugate=True)
-        b = sample_trunc_exp01(make_stream(5, 2), hi, 10_000, conjugate=True)
+        a = trunc_exp(make_stream(5, 2), lo, 10_000)
+        b = trunc_exp(make_stream(5, 2), hi, 10_000)
         assert np.max(np.abs(a - b)) < tol
 
 
 def test_trunc_exp_extreme_tilt_stays_in_bounds():
-    v = sample_trunc_exp01(make_stream(6, 0), 800.0, 10_000, conjugate=True)
+    v = trunc_exp(make_stream(6, 0), 800.0, 10_000)
     assert v.min() > 0.0 and v.max() < 1.0
     se = max(v.std(ddof=1) / np.sqrt(10_000), 1e-12)
     assert abs(v.mean() - trunc_exp_mean(800.0)) < 4.0 * se + 1e-6
 
 
 def test_trunc_exp_rejects_non_finite_tilt():
-    with pytest.raises(ParameterError):
-        sample_trunc_exp01(make_stream(0, 0), np.inf, 1, conjugate=True)
-    with pytest.raises(ParameterError):
-        sample_trunc_exp01(make_stream(0, 0), np.nan, 1, conjugate=False)
+    with pytest.raises(DomainError):
+        trunc_exp(make_stream(0, 0), np.inf, 1)
+    with pytest.raises(DomainError):
+        trunc_exp(make_stream(0, 0), np.nan, 1)
 
 
 # ---------------------------------------------------------------------------

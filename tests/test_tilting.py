@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, stdtr
 
-from tailtilt.copulas import CopulaSpec, rosenblatt_inverse, sample_copula_uniforms
+from tailtilt.copulas import CopulaSpec, CornerEvent, rosenblatt_inverse, sample_copula_uniforms
 from tailtilt.errors import (
     DegeneratePilotError,
     DomainError,
@@ -12,6 +14,7 @@ from tailtilt.errors import (
     ParameterError,
     ShapeError,
 )
+from tailtilt.estimators import ExperimentConfig, solve_event_theta
 from tailtilt.oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t
 from tailtilt.randkit import MarginSpec, make_stream, sample_mvn
 from tailtilt.tilting import (
@@ -246,6 +249,28 @@ def test_zero_tilt_reproduces_clayton_copula_draws():
     ts = sample_tilted(f, s1, np.zeros(3), 200)
     assert np.array_equal(ts.x, sample_copula_uniforms(c, s2, 200))
     assert np.all(ts.log_lr == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), n=st.integers(1, 64))
+def test_zero_tilt_reproduces_crude_draws_property(seed, n):
+    c_t = CopulaSpec("student-t", (UNIF, UNIF), sigma=corr(0.3), nu=5.0)
+    c_clayton = CopulaSpec("clayton", (UNIF, UNIF), delta=3.0)
+    crude = [
+        (te_family(), lambda s: s.uniforms(n * 2).reshape(n, 2)),
+        (hazard_family(), lambda s: s.uniforms(n * 2).reshape(n, 2)),
+        (mvn_family(0.5), lambda s: sample_mvn(s, 0.0, corr(0.5), n)),
+        (TiltFamily("t-gamma-normal", 2, sigma=corr(0.3), nu=5.0, a_star=np.full(2, 2.0)),
+         lambda s: sample_copula_uniforms(c_t, s, n)),
+        (clayton_family(3.0), lambda s: sample_copula_uniforms(c_clayton, s, n)),
+    ]
+    for f, draw in crude:
+        s1, s2 = make_stream(seed, 320), make_stream(seed, 320)
+        ts = sample_tilted(f, s1, np.zeros(f.theta_dim), n)
+        x = stdtr(5.0, ts.x) if f.kind == "t-gamma-normal" else ts.x
+        assert np.array_equal(x, draw(s2)), f.kind
+        assert np.all(ts.log_lr == 0.0), f.kind
+        assert s1.position == s2.position, f.kind
 
 
 def test_conjugate_is_negated_tilt():
@@ -489,9 +514,11 @@ def test_solve_saa_degenerate_event():
 
 
 def test_solve_saa_records_reflection():
-    f = mvn_family(0.0)
-    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 310), reflected=True)
-    assert sol.reflected
+    # the caller reflects a lower corner and marks the pilot solution
+    c = CopulaSpec("gaussian", (MarginSpec("std-normal"),) * 2, sigma=corr(0.0))
+    cfg = ExperimentConfig(c, CornerEvent("lower", (-1.282, -1.282)), "is-t2", seed=900)
+    sol = solve_event_theta(cfg, solver="saa")
+    assert sol.reflected and sol.method == "saa"
     assert "reflected: true" in sol.report()
 
 
@@ -656,9 +683,13 @@ def test_hrt_t_copula_corner():
 
 
 def test_hrt_whole_space_needs_no_twist():
+    # Ĝ's unconstrained minimum sits near 0: above it on streams 308 and
+    # 315, below it on 311 and 312, where the solver projects it onto 0
     everything = lambda ts: np.ones(ts.x.shape[0], dtype=bool)
-    sol = solve_hrt_theta(hazard_family(), everything, make_stream(900, 315))
-    assert abs(sol.theta_o[0]) < 0.05
+    for stream_id in (308, 311, 312, 315):
+        sol = solve_hrt_theta(hazard_family(), everything, make_stream(900, stream_id))
+        assert 0.0 <= sol.theta_o[0] < 0.05, stream_id
+        assert sol.converged and sol.method == "hrt"
 
 
 def test_hrt_validation():
