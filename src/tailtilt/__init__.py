@@ -28,7 +28,6 @@ from .estimators import (
     wnrv,
 )
 from .oracle import (
-    CornerReference,
     clayton_corner_prob,
     rect_prob_gaussian,
     rect_prob_t,
@@ -44,7 +43,6 @@ __all__ = [
     "ConfigError",
     "CopulaSpec",
     "CornerEvent",
-    "CornerReference",
     "DegeneratePilotError",
     "DomainError",
     "EstimateResult",

@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     model_flags(orc)
     event_flags(orc)
     orc.add_argument("--u0", type=float, help="copula-scale threshold, same in every axis")
-    orc.add_argument("--draws", type=int, help="draws for the vine reference")
     orc.add_argument("--json-out", help="write the diagnostics JSON here too")
 
     ben = sub.add_parser("bench", help="run benchmark cases into CSV rows")
@@ -147,6 +146,13 @@ def _require(opt: dict, key: str):
     return val
 
 
+def _dim(opt: dict) -> int:
+    d = opt.get("dim", 2)
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ConfigError(f"--dim must be an integer, got {d!r}")
+    return d
+
+
 def _build_margin(opt: dict) -> MarginSpec:
     kind = opt.get("margins", "std-normal")
     if kind == "student-t":
@@ -161,7 +167,7 @@ def _build_model(opt: dict):
     if family in _VINES:
         return vine_preset(family[:2])
     if family == "clayton":
-        d = int(opt.get("dim", 2))
+        d = _dim(opt)
         return CopulaSpec("clayton", (_build_margin(opt),) * d,
                           delta=_require(opt, "delta"))
     if opt.get("sigma") is not None:
@@ -174,7 +180,7 @@ def _build_model(opt: dict):
         d = sigma.shape[0] if sigma.ndim == 2 else 0
     else:
         rho = _require(opt, "rho")
-        d = int(opt.get("dim", 2))
+        d = _dim(opt)
         sigma = np.full((d, d), float(rho))
         np.fill_diagonal(sigma, 1.0)
     margins = (_build_margin(opt),) * d
@@ -328,26 +334,30 @@ def _cmd_solve_theta(opt: dict) -> int:
     return 0 if sol.converged else 3
 
 
+def _equal_threshold(opt: dict, family: str, d: int) -> float:
+    a = _build_event(opt, d).a
+    if np.any(a != a[0]):
+        raise ConfigError(f"the {family} oracle takes one threshold, got {list(a)}")
+    return float(a[0])
+
+
 def _cmd_oracle(opt: dict) -> int:
     family = _require(opt, "copula")
     direction = opt.get("direction", "upper")
     payload: dict = {"command": "oracle", "copula": family, "direction": direction}
+    if direction != "upper" and (family in _VINES or family == "clayton"):
+        raise ConfigError(f"the {family} oracle computes upper corners only")
     if family in _VINES:
         rv = vine_preset(family[:2])
-        p = _require(opt, "p")
-        p = float(p[0] if isinstance(p, (list, tuple)) else p)
-        ref = vine_corner_prob(rv, p, n_draws=int(opt.get("draws", 10_000_000)))
-        payload.update(p=p, value=ref.value, half_width=ref.half_width,
-                       n_draws=ref.n_draws)
+        p = _equal_threshold(opt, family, rv.d)
+        payload.update(p=p, value=vine_corner_prob(rv, p))
     elif family == "clayton":
-        delta = _require(opt, "delta")
-        d = int(opt.get("dim", 2))
+        d = _dim(opt)
         if opt.get("u0") is not None:
             u0 = float(opt["u0"])
         else:
-            event = _build_event(opt, d)
-            u0 = float(margin_cdf(_build_margin(opt), event.a[0]))
-        payload.update(u0=u0, value=clayton_corner_prob(float(delta), u0, d))
+            u0 = float(margin_cdf(_build_margin(opt), _equal_threshold(opt, family, d)))
+        payload.update(u0=u0, value=clayton_corner_prob(float(_require(opt, "delta")), u0, d))
     else:
         model = _build_model(opt)
         if opt.get("u0") is not None:

@@ -12,17 +12,14 @@ representation of the t law, integrating the conditional Gaussian rectangle
 over the logarithm of the chi-square mixing variable to a relative
 tolerance, so deep corners keep their digits.
 
-Clayton equal corners have an exact closed form. Vine corners do not, so the
-vine reference is a large crude Monte Carlo run with a reported 99.9%
-confidence half-width; callers must treat it as ground truth only through
-that interval.
+Clayton equal corners have an exact closed form. Vine corners are integrated
+along the vine's Rosenblatt chain the same way: level k's uniform must exceed
+the forward map of the threshold given the earlier levels, and tensor nodes
+double until two passes agree to 1e-6 relative (a stop rule, not an error bound).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
 
@@ -31,19 +28,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import gammaln, ndtr, ndtri
 
+from .copulas.vines import vine_rosenblatt_forward, vine_rosenblatt_inverse
 from .errors import ParameterError, ShapeError, SolverError
-from .randkit import _cholesky, make_stream
+from .randkit import _cholesky
 
-__all__ = [
-    "rect_prob_gaussian",
-    "rect_prob_t",
-    "clayton_corner_prob",
-    "vine_corner_prob",
-    "CornerReference",
-]
+__all__ = ["rect_prob_gaussian", "rect_prob_t", "clayton_corner_prob", "vine_corner_prob"]
 
-# two-sided 99.9% normal quantile, used for the vine reference interval
-_Z_999 = float(ndtri(0.9995))
+# node cap by dimension d: the count doubles per refinement, memory grows as m^(d-1)
+_M_MAX = {2: 4096, 3: 1024, 4: 128}
 
 
 def _check_direction(direction: str) -> None:
@@ -70,8 +62,7 @@ def rect_prob_gaussian(sigma, a, direction: str = "upper") -> float:
     if d == 1:
         return float(ndtr(-a[0] / L[0, 0]))
 
-    # node count doubles per refinement; memory grows as m^(d-1)
-    m, m_max = 8, 4096 if d == 2 else (1024 if d == 3 else 128)
+    m, m_max = 8, _M_MAX[d]
     prev = None
     while m <= m_max:
         val = _genz_tensor(L, a, m)
@@ -98,14 +89,19 @@ def _unit_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _tensor_grid(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-fold tensor product of the m unit nodes: points (m^k, k), weights."""
+    x, w = _unit_nodes(m)
+    grids = np.meshgrid(*([x] * k), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wts = reduce(np.multiply.outer, [w] * k).ravel() if k > 1 else w
+    return pts, wts
+
+
 def _genz_tensor(L: np.ndarray, a: np.ndarray, m: int) -> float:
     """One tensor Gauss-Legendre pass of the sequentially conditioned integral."""
     d = a.shape[0]
-    x, w = _unit_nodes(m)
-
-    grids = np.meshgrid(*([x] * (d - 1)), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wts = reduce(np.multiply.outer, [w] * (d - 1)).ravel() if d > 2 else w
+    pts, wts = _tensor_grid(m, d - 1)
 
     d1 = float(ndtr(a[0] / L[0, 0]))
     dk = np.full(pts.shape[0], d1)
@@ -177,8 +173,8 @@ def clayton_corner_prob(delta: float, u0: float, d: int = 2) -> float:
         raise ParameterError(f"clayton parameter must be positive, got {delta}")
     if not 0.0 < u0 < 1.0:
         raise ParameterError(f"threshold must lie in (0,1), got {u0}")
-    if d < 1:
-        raise ParameterError(f"dimension must be at least 1, got {d}")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ParameterError(f"dimension must be an integer of at least 1, got {d!r}")
     ud = u0**delta
     total = 0.0
     for k in range(d + 1):
@@ -186,44 +182,35 @@ def clayton_corner_prob(delta: float, u0: float, d: int = 2) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class CornerReference:
-    """A Monte Carlo reference probability with its 99.9% half-width."""
-
-    value: float
-    half_width: float
-    n_draws: int
-
-    def covers(self, x: float, slack: float = 0.0) -> bool:
-        return abs(x - self.value) <= self.half_width + slack
-
-
-def vine_corner_prob(
-    rv,
-    p: float,
-    n_draws: int = 10_000_000,
-    seed: int = 990_001,
-    chunk: int = 100_000,
-) -> CornerReference:
-    """Crude reference for P(U_i > p for all i) under a vine copula.
-
-    Draws are split into fixed chunks, one stream per chunk, and hit counts
-    are summed, so the result is identical however the chunks are scheduled.
-    """
-    from .copulas.vines import sample_vine_uniforms
-
+def vine_corner_prob(rv, p: float) -> float:
+    """P(U_i > p for all i) under a vine copula, by quadrature along its chain."""
     if not 0.0 < p < 1.0:
         raise ParameterError(f"threshold must lie in (0,1), got {p}")
-    n_chunks, rem = divmod(n_draws, chunk)
-    sizes = [chunk] * n_chunks + ([rem] if rem else [])
+    m, m_max = 8, _M_MAX[rv.d]
+    prev = None
+    while m <= m_max:
+        val = _vine_chain_pass(rv, p, m)
+        if not val > 0.0:
+            raise SolverError(f"vine corner at p={p} vanished in double precision")
+        if prev is not None and abs(val - prev) <= 1e-6 * val:
+            return val
+        prev = val
+        m *= 2
+    raise SolverError(f"vine corner quadrature did not stabilize below m={m_max} nodes")
 
-    def count_hits(i: int) -> int:
-        u = sample_vine_uniforms(make_stream(seed, i), rv, sizes[i])
-        return int(np.count_nonzero(np.all(u > p, axis=1)))
 
-    workers = min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = sum(pool.map(count_hits, range(len(sizes))))
-    p_hat = hits / n_draws
-    hw = _Z_999 * np.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n_draws)
-    return CornerReference(value=p_hat, half_width=float(hw), n_draws=n_draws)
+def _vine_chain_pass(rv, p: float, m: int) -> float:
+    """One tensor Gauss-Legendre pass over the first d-1 chain uniforms."""
+    d = rv.d
+    pts, wts = _tensor_grid(m, d - 1)
+    v = np.full((pts.shape[0], d), p)
+    lo, fk = p, 1.0 - p
+    for k in range(1, d):
+        v[:, k - 1] = lo + pts[:, k - 1] * (1.0 - lo)
+        # column k of either map depends only on columns <= k, so the filler
+        # in the later columns never reaches the lower limit of level k
+        x = vine_rosenblatt_inverse(rv, v)
+        x[:, k:] = p
+        lo = vine_rosenblatt_forward(rv, x)[:, k]
+        fk *= 1.0 - lo
+    return float(fk @ wts)

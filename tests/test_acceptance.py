@@ -189,18 +189,15 @@ def test_criterion_5_vine_corners(emit):
         case = get_case(key)
         rv = _model(key)
         for i, p in enumerate(case.p):
-            ref = vine_corner_prob(rv, p, n_draws=4_000_000,
-                                   seed=77_000 + 10 * i + (key == "4d-vine"))
             res, _ = _cell(key, i, "is-t1")
-            slack = 3.0 * _se(res)
-            ok = ok and ref.covers(res.u_hat, slack)
-            gap = abs(res.u_hat - ref.value) / (ref.half_width + slack)
+            gap = abs(res.u_hat - vine_corner_prob(rv, p)) / _se(res)
+            ok = ok and gap <= 3.0
             worst_gap = max(worst_gap, gap)
         naive, _ = _cell(key, 2, "naive")
         effs[key] = sd_eff(naive, _cell(key, 2, "is-t1")[0])
         ok = ok and effs[key] >= 7.0
     emit("criterion 5 (vine corners)", ok,
-         f"max |u-ref|/(ci+3se) {worst_gap:.2f} over 6 corners, "
+         f"max |u-ref|/se {worst_gap:.2f}<=3 over 6 corners against the chain quadrature, "
          + ", ".join(f"{k} sd_eff {v:.1f}>=7" for k, v in effs.items()))
 
 

@@ -45,11 +45,41 @@ def test_oracle_gaussian_orthant(capsys):
 
 
 def test_oracle_vine_reference(capsys):
-    code, payload = run_json(capsys, "oracle", "--copula", "3d-vine",
-                             "--p", "0.9", "--draws", "200000")
+    code, payload = run_json(capsys, "oracle", "--copula", "3d-vine", "--p", "0.9")
     assert code == 0
-    assert payload["half_width"] > 0
-    assert abs(payload["value"] - 2.40e-2) < payload["half_width"] + 2e-3
+    assert set(payload) == {"command", "copula", "direction", "p", "value"}
+    assert payload["value"] == pytest.approx(2.416542e-2, rel=1e-6)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--copula", "clayton", "--delta", "3", "--u0", "0.02"),
+    ("--copula", "clayton", "--delta", "3", "--margins", "std-normal", "--p", "1.0"),
+    ("--copula", "3d-vine", "--p", "0.9"),
+])
+def test_oracle_rejects_lower_corner(capsys, argv):
+    code, out = run(capsys, "oracle", *argv, "--direction", "lower")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--copula", "clayton", "--delta", "3", "--margins", "std-normal", "--p", "1.0", "2.0"),
+    ("--copula", "3d-vine", "--p", "0.9", "0.9", "0.95"),
+    ("--copula", "3d-vine", "--p", "0.9", "0.95"),
+])
+def test_oracle_rejects_unequal_thresholds(capsys, argv):
+    code, out = run(capsys, "oracle", *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_oracle_rejects_non_integer_dimension(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for dim in (2.5, 3.0, True):
+        cfg.write_text(json.dumps({"copula": "clayton", "delta": 3.0, "u0": 0.9, "dim": dim}))
+        code, out = run(capsys, "oracle", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
 
 
 def test_estimate_json_and_csv(capsys, tmp_path):

@@ -186,3 +186,6 @@ def test_clayton_rejects_bad_inputs():
         clayton_corner_prob(3.0, 1.0)
     with pytest.raises(ParameterError):
         clayton_corner_prob(3.0, 0.5, d=0)
+    for d in (2.0, 2.5, True, "2"):
+        with pytest.raises(ParameterError):
+            clayton_corner_prob(3.0, 0.9, d)

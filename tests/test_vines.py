@@ -18,6 +18,8 @@ from tailtilt.errors import StructureError
 from tailtilt.oracle import vine_corner_prob
 from tailtilt.randkit import MarginSpec, make_stream
 
+from perfbench import refs
+
 
 def independence_vine(d: int) -> RVineSpec:
     indep = PairCopula("gaussian", rho=0.0)
@@ -176,13 +178,13 @@ def test_four_dim_corner_probability_matches_reference():
 
 def test_vine_corner_oracle_on_independence():
     rv = independence_vine(3)
-    ref = vine_corner_prob(rv, 0.9, n_draws=2_000_000, seed=11)
-    assert ref.covers(1e-03)
-    assert ref.half_width < 1e-4
+    for p in (0.9, 0.99, 0.999):
+        assert vine_corner_prob(rv, p) == pytest.approx((1.0 - p) ** 3, rel=1e-12)
 
 
-def test_vine_corner_oracle_is_deterministic():
-    rv = vine_preset("3d")
-    a = vine_corner_prob(rv, 0.95, n_draws=400_000, seed=3)
-    b = vine_corner_prob(rv, 0.95, n_draws=400_000, seed=3)
-    assert a == b
+def test_vine_corner_oracle_matches_independent_quadrature():
+    for p in (0.9, 0.975, 0.999, 1.0 - 1e-5):
+        ref = refs.vine3_preset_upper(p)
+        assert vine_corner_prob(vine_preset("3d"), p) == pytest.approx(ref, rel=1e-4)
+    ref = refs.vine4_preset_upper(0.975)
+    assert vine_corner_prob(vine_preset("4d"), 0.975) == pytest.approx(ref, rel=1e-4)
