@@ -5,8 +5,12 @@ a tilt without estimating, ``oracle`` prints a reference probability,
 ``bench`` runs benchmark cases into CSV rows, and ``reproduce`` prints a
 benchmark case next to its frozen reference columns.
 
-Flags can also come from a JSON config file (``--config``); flags given on
-the command line override file keys. Data rows go to CSV with the fixed
+Flags can also come from a JSON config file (``--config``) whose keys are
+the flag names in ``dest`` form (``margin_df`` for ``--margin-df``). The
+parser's declarations are the one schema: each key is checked against the
+flags of the subcommand that ran, with the type and choices the flag takes,
+and ``--sigma`` and ``--theta`` take JSON either way. Flags given on the
+command line override file keys. Data rows go to CSV with the fixed
 column set method,family,params,p,u_hat,sd,seconds,wnrv,theta,seed; full
 diagnostics go to JSON. Exit status is 0 on success, 2 on a configuration
 problem, 3 when a tilt solver fails to converge.
@@ -18,6 +22,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,93 +39,110 @@ CSV_COLUMNS = ("method", "family", "params", "p", "u_hat", "sd",
 
 _VINES = ("3d-vine", "4d-vine")
 
-_FAMILY_TO_METHOD = {
-    "trunc-exp-product": "is-t1",
-    "mvn-shift": "is-t2",
-    "t-gamma-normal": "is-t2",
-    "clayton-mo": "is-t2",
-    "hazard-rate": "is-t3",
-}
+_Flags = dict[str, argparse.Action]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Flags]]:
+    """The parser, and each subcommand's flags keyed by ``dest``."""
     top = argparse.ArgumentParser(prog="tailtilt",
                                   description="rare-event estimation for copula models")
     sub = top.add_subparsers(dest="command", required=True)
+    schema: dict[str, _Flags] = {}
 
-    def model_flags(p):
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--copula",
-                       choices=("gaussian", "student-t", "clayton") + _VINES)
-        p.add_argument("--rho", type=float, help="off-diagonal correlation (d=2)")
-        p.add_argument("--sigma", help="full correlation matrix as JSON")
-        p.add_argument("--nu", type=float, help="t copula degrees of freedom")
-        p.add_argument("--delta", type=float, help="clayton parameter")
-        p.add_argument("--dim", type=int, help="dimension (default 2)")
-        p.add_argument("--margins",
-                       choices=("std-normal", "exponential", "student-t", "uniform01"))
-        p.add_argument("--margin-df", type=float, help="df for student-t margins")
-        p.add_argument("--margin-rate", type=float, help="rate for exponential margins")
+    def command(name: str, summary: str):
+        parser = sub.add_parser(name, help=summary)
+        flags = schema[name] = {}
 
-    def event_flags(p):
-        p.add_argument("--p", type=float, nargs="+",
-                       help="corner threshold(s) on the margin scale")
-        p.add_argument("--direction", choices=("upper", "lower"))
+        def add(*names, **kw):
+            action = parser.add_argument(*names, **kw)
+            flags[action.dest] = action
+        return add
 
-    def run_flags(p):
-        p.add_argument("--n", type=int, help="samples per replication (default 500)")
-        p.add_argument("--reps", type=int, help="replications M (default 5000)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--csv", help="append data rows to this CSV file")
-        p.add_argument("--json-out", help="write the diagnostics JSON here too")
+    def model_flags(add):
+        add("--config", help="JSON file with defaults for any flag")
+        add("--copula", choices=("gaussian", "student-t", "clayton") + _VINES)
+        add("--rho", type=float, help="off-diagonal correlation (d=2)")
+        add("--sigma", type=json.loads, help="full correlation matrix as JSON")
+        add("--nu", type=float, help="t copula degrees of freedom")
+        add("--delta", type=float, help="clayton parameter")
+        add("--dim", type=int, help="dimension (default 2)")
+        add("--margins", choices=("std-normal", "exponential", "student-t", "uniform01"))
+        add("--margin-df", type=float, help="df for student-t margins")
+        add("--margin-rate", type=float, help="rate for exponential margins")
 
-    est = sub.add_parser("estimate", help="estimate one corner probability")
-    model_flags(est)
-    event_flags(est)
-    est.add_argument("--method",
-                     choices=("naive", "is-t1", "is-t2", "is-t3", "is-ld"))
-    est.add_argument("--theta", help="tilt as JSON (number or list); omit to solve")
-    est.add_argument("--route", choices=("direct", "cim"))
-    run_flags(est)
+    def event_flags(add):
+        add("--p", type=float, nargs="+", help="corner threshold(s) on the margin scale")
+        add("--direction", choices=("upper", "lower"))
 
-    sol = sub.add_parser("solve-theta", help="solve a tilt without estimating")
-    model_flags(sol)
-    event_flags(sol)
-    sol.add_argument("--family", choices=tuple(_FAMILY_TO_METHOD),
-                     help="tilting family (picks the matching method)")
-    sol.add_argument("--method", choices=("is-t1", "is-t2", "is-t3", "is-ld"))
-    sol.add_argument("--solver", choices=("saa", "tallis"))
-    sol.add_argument("--seed", type=int)
-    sol.add_argument("--json-out", help="write the diagnostics JSON here too")
+    def run_flags(add):
+        add("--n", type=int, help="samples per replication (default 500)")
+        add("--reps", type=int, help="replications M (default 5000)")
+        add("--seed", type=int)
+        add("--csv", help="append data rows to this CSV file")
+        add("--json-out", help="write the diagnostics JSON here too")
 
-    orc = sub.add_parser("oracle", help="print a reference probability")
-    model_flags(orc)
-    event_flags(orc)
-    orc.add_argument("--u0", type=float, help="copula-scale threshold, same in every axis")
-    orc.add_argument("--json-out", help="write the diagnostics JSON here too")
+    add = command("estimate", "estimate one corner probability")
+    model_flags(add)
+    event_flags(add)
+    add("--method", choices=("naive", "is-t1", "is-t2", "is-t3", "is-ld"))
+    add("--theta", type=json.loads, help="tilt as JSON (number or list); omit to solve")
+    add("--route", choices=("direct", "cim"))
+    run_flags(add)
 
-    ben = sub.add_parser("bench", help="run benchmark cases into CSV rows")
-    ben.add_argument("--table", required=True,
-                     help="case key (%s) or 'all'" % ", ".join(benchmark_keys()))
-    ben.add_argument("--methods", help="comma-separated subset of a case's methods")
-    ben.add_argument("--p", type=float, nargs="+", help="subset of the case's thresholds")
-    ben.add_argument("--n", type=int)
-    ben.add_argument("--reps", type=int)
-    ben.add_argument("--seed", type=int)
-    ben.add_argument("--csv", help="append rows here instead of stdout")
+    add = command("solve-theta", "solve a tilt without estimating")
+    model_flags(add)
+    event_flags(add)
+    add("--method", choices=("is-t1", "is-t2", "is-t3", "is-ld"))
+    add("--solver", choices=("saa", "tallis"))
+    add("--seed", type=int)
+    add("--json-out", help="write the diagnostics JSON here too")
 
-    rep = sub.add_parser("reproduce", help="compare a benchmark case to its reference")
-    rep.add_argument("--table", required=True,
-                     help="case key (%s)" % ", ".join(benchmark_keys()))
-    rep.add_argument("--n", type=int)
-    rep.add_argument("--reps", type=int)
-    rep.add_argument("--seed", type=int)
-    rep.add_argument("--csv", help="also append the measured rows to this CSV file")
+    add = command("oracle", "print a reference probability")
+    model_flags(add)
+    event_flags(add)
+    add("--json-out", help="write the diagnostics JSON here too")
 
-    return top
+    add = command("bench", "run benchmark cases into CSV rows")
+    add("--table", required=True,
+        help="case key (%s) or 'all'" % ", ".join(benchmark_keys()))
+    add("--methods", help="comma-separated subset of a case's methods")
+    add("--p", type=float, nargs="+", help="subset of the case's thresholds")
+    add("--n", type=int)
+    add("--reps", type=int)
+    add("--seed", type=int)
+    add("--csv", help="append rows here instead of stdout")
+
+    add = command("reproduce", "compare a benchmark case to its reference")
+    add("--table", required=True, help="case key (%s)" % ", ".join(benchmark_keys()))
+    add("--n", type=int)
+    add("--reps", type=int)
+    add("--seed", type=int)
+    add("--csv", help="also append the measured rows to this CSV file")
+
+    return top, schema
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+_JSON_TYPES = {int: int, float: (int, float), None: str}  # by the flag's argparse type
+
+
+def _file_value(flags: _Flags, key: str, val):
+    """A config-file value, checked as argparse checks the flag's text."""
+    action = flags.get(key) if key != "config" else None
+    if action is None:
+        raise ConfigError(f"config key {key!r} names no flag of this command")
+    if action.type is json.loads:
+        return val
+    items = val if action.nargs == "+" and isinstance(val, list) else [val]
+    for v in items:
+        if (isinstance(v, bool) or not isinstance(v, _JSON_TYPES[action.type])
+                or (action.choices is not None and v not in action.choices)):
+            raise ConfigError(f"config key {key!r} cannot take {v!r}")
+    if action.type is float:
+        items = [float(v) for v in items]
+    return items if action.nargs == "+" else items[0]
+
+
+def _merge_config(args: argparse.Namespace, flags: _Flags) -> dict:
     """File values first, then any flag that was actually given."""
     merged: dict = {}
     path = getattr(args, "config", None)
@@ -131,7 +153,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        merged.update(loaded)
+        merged = {key: _file_value(flags, key, val) for key, val in loaded.items()}
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
             continue
@@ -144,13 +166,6 @@ def _require(opt: dict, key: str):
     if val is None:
         raise ConfigError(f"missing required option --{key.replace('_', '-')}")
     return val
-
-
-def _dim(opt: dict) -> int:
-    d = opt.get("dim", 2)
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ConfigError(f"--dim must be an integer, got {d!r}")
-    return d
 
 
 def _build_margin(opt: dict) -> MarginSpec:
@@ -167,21 +182,18 @@ def _build_model(opt: dict):
     if family in _VINES:
         return vine_preset(family[:2])
     if family == "clayton":
-        d = _dim(opt)
-        return CopulaSpec("clayton", (_build_margin(opt),) * d,
+        return CopulaSpec("clayton", (_build_margin(opt),) * opt.get("dim", 2),
                           delta=_require(opt, "delta"))
     if opt.get("sigma") is not None:
-        raw = opt["sigma"]
         try:
-            sigma = np.asarray(json.loads(raw) if isinstance(raw, str) else raw,
-                               dtype=np.float64)
-        except (json.JSONDecodeError, ValueError) as exc:
+            sigma = np.asarray(opt["sigma"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"--sigma must be a JSON matrix: {exc}")
         d = sigma.shape[0] if sigma.ndim == 2 else 0
     else:
         rho = _require(opt, "rho")
-        d = _dim(opt)
-        sigma = np.full((d, d), float(rho))
+        d = opt.get("dim", 2)
+        sigma = np.full((d, d), rho)
         np.fill_diagonal(sigma, 1.0)
     margins = (_build_margin(opt),) * d
     if family == "student-t":
@@ -190,8 +202,7 @@ def _build_model(opt: dict):
 
 
 def _build_event(opt: dict, d: int) -> CornerEvent:
-    p = _require(opt, "p")
-    vals = [float(v) for v in (p if isinstance(p, (list, tuple)) else [p])]
+    vals = _require(opt, "p")
     if len(vals) == 1:
         vals = vals * d
     if len(vals) != d:
@@ -264,25 +275,13 @@ def _emit_json(payload: dict, json_path: str | None) -> None:
         Path(json_path).write_text(text + "\n")
 
 
-def _parse_theta(raw):
-    if raw is None:
-        return None
-    if isinstance(raw, (int, float, list, tuple)):
-        return raw
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--theta must be JSON: {exc}")
-
-
 def _cmd_estimate(opt: dict) -> int:
     model = _build_model(opt)
     event = _build_event(opt, model.d)
     method = opt.get("method", "naive")
-    seed = int(opt.get("seed", 0))
-    cfg = ExperimentConfig(model, event, method,
-                           n=int(opt.get("n", 500)), M=int(opt.get("reps", 5000)),
-                           seed=seed, theta=_parse_theta(opt.get("theta")),
+    seed = opt.get("seed", 0)
+    cfg = ExperimentConfig(model, event, method, n=opt.get("n", 500),
+                           M=opt.get("reps", 5000), seed=seed, theta=opt.get("theta"),
                            route=opt.get("route", "direct"))
     theta = None
     if method != "naive":
@@ -291,11 +290,8 @@ def _cmd_estimate(opt: dict) -> int:
             if not sol.converged:
                 print(f"tilt solver did not converge: {sol.report()}", file=sys.stderr)
                 return 3
-            theta = tuple(np.atleast_1d(sol.theta_o))
-            cfg = ExperimentConfig(model, event, method, n=cfg.n, M=cfg.M,
-                                   seed=seed, theta=theta, route=cfg.route)
-        else:
-            theta = tuple(np.atleast_1d(np.asarray(cfg.theta, dtype=np.float64)))
+            cfg = replace(cfg, theta=sol.theta_o)
+        theta = tuple(np.atleast_1d(np.asarray(cfg.theta, dtype=np.float64)))
     result = replicate(cfg)
     family, params = _model_labels(model)
     _emit_json({
@@ -313,15 +309,8 @@ def _cmd_estimate(opt: dict) -> int:
 def _cmd_solve_theta(opt: dict) -> int:
     model = _build_model(opt)
     event = _build_event(opt, model.d)
-    method = opt.get("method")
-    if opt.get("family"):
-        mapped = _FAMILY_TO_METHOD[opt["family"]]
-        if method is not None and method != mapped:
-            raise ConfigError(f"--family {opt['family']} pairs with {mapped}, not {method}")
-        method = mapped
-    if method is None:
-        raise ConfigError("pass --family or --method to pick the tilt")
-    cfg = ExperimentConfig(model, event, method, seed=int(opt.get("seed", 0)))
+    method = _require(opt, "method")
+    cfg = ExperimentConfig(model, event, method, seed=opt.get("seed", 0))
     sol = solve_event_theta(cfg, solver=opt.get("solver"))
     _emit_json({
         "command": "solve-theta", "method": method,
@@ -347,29 +336,15 @@ def _cmd_oracle(opt: dict) -> int:
     payload: dict = {"command": "oracle", "copula": family, "direction": direction}
     if direction != "upper" and (family in _VINES or family == "clayton"):
         raise ConfigError(f"the {family} oracle computes upper corners only")
+    model = _build_model(opt)
     if family in _VINES:
-        rv = vine_preset(family[:2])
-        p = _equal_threshold(opt, family, rv.d)
-        payload.update(p=p, value=vine_corner_prob(rv, p))
+        p = _equal_threshold(opt, family, model.d)
+        payload.update(p=p, value=vine_corner_prob(model, p))
     elif family == "clayton":
-        d = _dim(opt)
-        if opt.get("u0") is not None:
-            u0 = float(opt["u0"])
-        else:
-            u0 = float(margin_cdf(_build_margin(opt), _equal_threshold(opt, family, d)))
-        payload.update(u0=u0, value=clayton_corner_prob(float(_require(opt, "delta")), u0, d))
+        u0 = float(margin_cdf(model.margins[0], _equal_threshold(opt, family, model.d)))
+        payload.update(u0=u0, value=clayton_corner_prob(model.delta, u0, model.d))
     else:
-        model = _build_model(opt)
-        if opt.get("u0") is not None:
-            from scipy.special import ndtri, stdtrit
-            u0 = float(opt["u0"])
-            if family == "gaussian":
-                a_star = np.full(model.d, ndtri(u0))
-            else:
-                a_star = np.full(model.d, stdtrit(model.nu, u0))
-        else:
-            event = transform_event(model, _build_event(opt, model.d))
-            a_star = np.asarray(event.a_star)
+        a_star = np.asarray(transform_event(model, _build_event(opt, model.d)).a_star)
         if family == "gaussian":
             value = rect_prob_gaussian(model.sigma, a_star, direction)
         else:
@@ -387,13 +362,13 @@ def _cmd_bench(opt: dict) -> int:
     all_rows = []
     for key in keys:
         case = get_case(key)
-        rows = run_case(key, methods=methods, n=int(opt.get("n", 500)),
-                        M=int(opt.get("reps", 5000)), seed=int(opt.get("seed", 0)),
+        rows = run_case(key, methods=methods, n=opt.get("n", 500),
+                        M=opt.get("reps", 5000), seed=opt.get("seed", 0),
                         p_values=tuple(opt["p"]) if opt.get("p") else None)
         model = case.model()
         for r in rows:
             all_rows.append(_csv_row(model, (r.p,) * model.d, r.result, r.theta,
-                                     int(opt.get("seed", 0))))
+                                     opt.get("seed", 0)))
     _write_rows(all_rows, opt.get("csv"))
     return 0
 
@@ -401,13 +376,13 @@ def _cmd_bench(opt: dict) -> int:
 def _cmd_reproduce(opt: dict) -> int:
     key = opt["table"]
     case = get_case(key)
-    rows = run_case(key, n=int(opt.get("n", 500)), M=int(opt.get("reps", 5000)),
-                    seed=int(opt.get("seed", 0)))
+    rows = run_case(key, n=opt.get("n", 500), M=opt.get("reps", 5000),
+                    seed=opt.get("seed", 0))
     print(format_comparison(key, rows))
     if opt.get("csv"):
         model = case.model()
         _write_rows([_csv_row(model, (r.p,) * model.d, r.result, r.theta,
-                              int(opt.get("seed", 0))) for r in rows], opt["csv"])
+                              opt.get("seed", 0)) for r in rows], opt["csv"])
     return 0
 
 
@@ -421,9 +396,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, schema = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        opt = _merge_config(args)
+        opt = _merge_config(args, schema[args.command])
         return _COMMANDS[args.command](opt)
     except (SolverError, DegeneratePilotError) as exc:
         print(f"error: {exc}", file=sys.stderr)

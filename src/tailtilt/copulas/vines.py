@@ -195,15 +195,15 @@ def _as_matrix(rv: RVineSpec, arr, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != rv.d:
-        raise StructureError(f"{name} must have shape (n, {rv.d}), got {arr.shape}")
+    if arr.ndim != 2 or not 1 <= arr.shape[1] <= rv.d:
+        raise StructureError(f"{name} must have shape (n, k), k in 1..{rv.d}, got {arr.shape}")
     return arr
 
 
 def vine_rosenblatt_forward(rv: RVineSpec, x) -> np.ndarray:
-    """Map copula-scale vectors X to i.i.d. uniforms V along the vine chain."""
+    """Map copula-scale X to i.i.d. uniforms V along the chain; k columns give V's first k."""
     x = _as_matrix(rv, x, "x")
-    d = rv.d
+    d = x.shape[1]
     v = np.empty_like(x)
     v[:, 0] = x[:, 0]
     if d == 1:
@@ -230,9 +230,9 @@ def vine_rosenblatt_forward(rv: RVineSpec, x) -> np.ndarray:
 
 
 def vine_rosenblatt_inverse(rv: RVineSpec, v) -> np.ndarray:
-    """Map i.i.d. uniforms V to copula-scale vectors X; inverse of the forward chain."""
+    """Inverse of the forward chain: uniforms V to copula-scale X; k columns give X's first k."""
     v = _as_matrix(rv, v, "v")
-    d = rv.d
+    d = v.shape[1]
     x = np.empty_like(v)
     x[:, 0] = v[:, 0]
     if d == 1:

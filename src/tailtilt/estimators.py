@@ -101,6 +101,10 @@ class ExperimentConfig:
             raise ConfigError(f"need n >= 1 and M >= 1, got n={self.n}, M={self.M}")
         if self.route not in ("direct", "cim"):
             raise ConfigError(f"unknown route {self.route!r}")
+        try:
+            np.asarray(0.0 if self.theta is None else self.theta, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"theta must be a number or a list of numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -203,14 +203,12 @@ def _vine_chain_pass(rv, p: float, m: int) -> float:
     """One tensor Gauss-Legendre pass over the first d-1 chain uniforms."""
     d = rv.d
     pts, wts = _tensor_grid(m, d - 1)
-    v = np.full((pts.shape[0], d), p)
+    v = np.empty((pts.shape[0], d - 1))
+    x = np.full((pts.shape[0], d), p)
     lo, fk = p, 1.0 - p
     for k in range(1, d):
         v[:, k - 1] = lo + pts[:, k - 1] * (1.0 - lo)
-        # column k of either map depends only on columns <= k, so the filler
-        # in the later columns never reaches the lower limit of level k
-        x = vine_rosenblatt_inverse(rv, v)
-        x[:, k:] = p
-        lo = vine_rosenblatt_forward(rv, x)[:, k]
+        x[:, :k] = vine_rosenblatt_inverse(rv, v[:, :k])
+        lo = vine_rosenblatt_forward(rv, x[:, :k + 1])[:, k]
         fk *= 1.0 - lo
     return float(fk @ wts)

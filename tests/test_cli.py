@@ -23,8 +23,8 @@ def run_json(capsys, *argv):
 
 
 def test_oracle_clayton_u0(capsys):
-    code, payload = run_json(capsys, "oracle", "--copula", "clayton",
-                             "--delta", "3", "--u0", "0.98341")
+    code, payload = run_json(capsys, "oracle", "--copula", "clayton", "--delta", "3",
+                             "--margins", "uniform01", "--p", "0.98341")
     assert code == 0
     assert payload["value"] == pytest.approx(clayton_corner_prob(3.0, 0.98341), rel=1e-12)
 
@@ -52,7 +52,7 @@ def test_oracle_vine_reference(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--copula", "clayton", "--delta", "3", "--u0", "0.02"),
+    ("--copula", "clayton", "--delta", "3", "--margins", "uniform01", "--p", "0.02"),
     ("--copula", "clayton", "--delta", "3", "--margins", "std-normal", "--p", "1.0"),
     ("--copula", "3d-vine", "--p", "0.9"),
 ])
@@ -76,7 +76,8 @@ def test_oracle_rejects_unequal_thresholds(capsys, argv):
 def test_oracle_rejects_non_integer_dimension(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     for dim in (2.5, 3.0, True):
-        cfg.write_text(json.dumps({"copula": "clayton", "delta": 3.0, "u0": 0.9, "dim": dim}))
+        cfg.write_text(json.dumps({"copula": "clayton", "delta": 3.0, "margins": "uniform01",
+                                   "p": 0.9, "dim": dim}))
         code, out = run(capsys, "oracle", "--config", str(cfg))
         assert code == 2
         assert out == ""
@@ -130,10 +131,26 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert payload["seed"] == 2
 
 
+@pytest.mark.parametrize("keys", [
+    {"n": 100.7, "reps": 5.9, "seed": 1.5},
+    {"n": "50"},
+    {"copula": "clayton", "delta": "3"},
+    {"copula": "gumbel"},
+    {"rep": 5},
+])
+def test_config_file_values_checked_like_flags(capsys, tmp_path, keys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"copula": "gaussian", "rho": 0.5, "p": 1.0,
+                               "method": "naive", "n": 100, "reps": 5, **keys}))
+    code, out = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+
+
 def test_solve_theta_clayton_frailty(capsys):
     code, payload = run_json(capsys, "solve-theta", "--copula", "clayton",
                              "--delta", "3", "--margins", "std-normal",
-                             "--p", "2.130", "--family", "clayton-mo")
+                             "--p", "2.130", "--method", "is-t2")
     assert code == 0
     assert payload["converged"]
     assert abs(payload["theta"][0] - 0.848) < 0.05
@@ -158,17 +175,10 @@ def test_hazard_twist_projected_onto_zero(capsys):
     assert payload["theta"] == [0.0]
 
 
-def test_solve_theta_family_method_mismatch(capsys):
-    code, _ = run(capsys, "solve-theta", "--copula", "gaussian", "--rho", "0",
-                  "--margins", "std-normal", "--p", "1.282",
-                  "--family", "mvn-shift", "--method", "is-t1")
-    assert code == 2
-
-
 def test_solver_failure_exit_code(capsys):
     code, _ = run(capsys, "solve-theta", "--copula", "gaussian", "--rho", "0",
                   "--margins", "std-normal", "--p", "5.5",
-                  "--family", "mvn-shift", "--solver", "saa")
+                  "--method", "is-t2", "--solver", "saa")
     assert code == 3
 
 

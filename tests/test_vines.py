@@ -154,6 +154,19 @@ def test_transform_shape_errors():
         vine_rosenblatt_inverse(rv, np.zeros((5, 4)))
 
 
+@pytest.mark.parametrize("name", ["3d", "4d"])
+def test_column_prefix_matches_full_map(name):
+    rv = vine_preset(name)
+    v = make_stream(3, 0).uniforms(100 * rv.d).reshape(100, rv.d)
+    x = vine_rosenblatt_inverse(rv, v)
+    u = vine_rosenblatt_forward(rv, x)
+    for k in range(1, rv.d + 1):
+        assert np.array_equal(vine_rosenblatt_inverse(rv, v[:, :k]), x[:, :k])
+        assert np.array_equal(vine_rosenblatt_forward(rv, x[:, :k]), u[:, :k])
+    with pytest.raises(StructureError):
+        vine_rosenblatt_forward(rv, np.zeros((5, 0)))
+
+
 # ---------------------------------------------------------------------------
 # distributional checks
 
