@@ -179,6 +179,8 @@ def _build_margin(opt: dict) -> MarginSpec:
 
 def _build_model(opt: dict):
     family = _require(opt, "copula")
+    if opt.get("dim", 2) < 1:
+        raise ConfigError(f"--dim must be at least 1, got {opt['dim']}")
     if family in _VINES:
         return vine_preset(family[:2])
     if family == "clayton":

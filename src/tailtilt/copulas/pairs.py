@@ -132,6 +132,30 @@ def h_inv(pc: PairCopula, q, v1) -> np.ndarray:
     return np.clip(out, _LO, _HI)
 
 
+def _iterate_each(step, state: tuple, args: tuple, rtol: float, max_iter: int) -> np.ndarray:
+    """Run ``state = step(*state, *args)`` elementwise over flat arrays.
+
+    Each element stops once its first state entry moves by at most ``rtol``
+    times its new value, and only the elements still moving are iterated,
+    so an element's result does not depend on the others in the call.
+    Returns the final first state entry.
+    """
+    out = state[0].copy()
+    idx = np.arange(out.size)
+    for _ in range(max_iter):
+        new = step(*state, *args)
+        out[idx] = new[0]
+        live = np.flatnonzero(np.abs(new[0] - state[0]) > rtol * new[0])
+        if live.size == 0:
+            break
+        if live.size < idx.size:
+            idx = idx[live]
+            new = tuple(z[live] for z in new)
+            args = tuple(z[live] for z in args)
+        state = new
+    return out
+
+
 def _gumbel_h_inv(d: float, q: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """Invert the Gumbel h-function by Newton in s = (x^d + y^d)^(1/d).
 
@@ -140,19 +164,17 @@ def _gumbel_h_inv(d: float, q: np.ndarray, v1: np.ndarray) -> np.ndarray:
     point s0 = x - ln q, so the iteration decreases monotonically onto the
     root. y is recovered through expm1 to survive the s ~ x regime.
     """
-    x = -np.log(v1)
-    ln_q = np.log(q)
-    s = x - ln_q
-    lo = x
-    for _ in range(100):
-        g = x - s + (d - 1.0) * (np.log(x) - np.log(s)) - ln_q
-        s_new = np.maximum(s - g / (-1.0 - (d - 1.0) / s), lo * (1.0 + 1e-16))
-        moved = np.max(np.abs(s_new - s))
-        s = s_new
-        if moved < 1e-13:
-            break
+    q, v1 = np.broadcast_arrays(q, v1)
+    x = -np.log(v1.ravel())
+    ln_q = np.log(q.ravel())
+
+    def step(s, x, ln_x, ln_q):
+        g = x - s + (d - 1.0) * (ln_x - np.log(s)) - ln_q
+        return (np.maximum(s - g / (-1.0 - (d - 1.0) / s), x),)
+
+    s = _iterate_each(step, (x - ln_q,), (x, np.log(x), ln_q), 1e-13, 100)
     y = x * np.expm1(d * np.log(s / x)) ** (1.0 / d)
-    return np.exp(-y)
+    return np.exp(-y).reshape(q.shape)
 
 
 def _joe_h_inv(d: float, q: np.ndarray, v1: np.ndarray) -> np.ndarray:
@@ -160,29 +182,27 @@ def _joe_h_inv(d: float, q: np.ndarray, v1: np.ndarray) -> np.ndarray:
 
     g(t) = ln h - ln q is strictly decreasing on (0,1) with g(0) = -ln q > 0,
     so a sign-change bracket always exists; Newton steps that leave the
-    bracket fall back to bisection.
+    bracket fall back to bisection. A step that lands on a bracket end is
+    kept: at the root the step rounds to zero, and bisecting from there
+    would throw the converged value away.
     """
-    ub = 1.0 - v1
-    a = ub**d
-    ln_q = np.log(q)
+    q, v1 = np.broadcast_arrays(q, v1)
+    ub = 1.0 - v1.ravel()
     c1 = 1.0 / d - 1.0
-    base = (d - 1.0) * np.log(ub)
 
-    lo = np.zeros_like(q)
-    hi = np.full_like(q, 1.0 - 1e-16)
-    t = np.clip(1.0 - q, 1e-16, 1.0 - 1e-16)
-    for _ in range(100):
-        s = a + t * (1.0 - a)
+    def step(t, lo, hi, a, b, c1b, base, ln_q):
+        s = a + t * b
         g = c1 * np.log(s) + np.log1p(-t) + base - ln_q
         lo = np.where(g > 0, t, lo)
         hi = np.where(g < 0, t, hi)
-        gp = c1 * (1.0 - a) / s - 1.0 / (1.0 - t)
-        step = g / gp
-        t_new = t - step
-        outside = (t_new <= lo) | (t_new >= hi)
-        t_new = np.where(outside, 0.5 * (lo + hi), t_new)
-        done = np.max(np.abs(t_new - t)) < 1e-14
-        t = t_new
-        if done:
-            break
-    return 1.0 - t ** (1.0 / d)
+        gp = c1b / s - 1.0 / (1.0 - t)
+        t_new = t - g / gp
+        outside = (t_new < lo) | (t_new > hi)
+        return np.where(outside, 0.5 * (lo + hi), t_new), lo, hi
+
+    t0 = np.clip(1.0 - q.ravel(), 1e-16, 1.0 - 1e-16)
+    state = (t0, np.zeros_like(t0), np.full_like(t0, 1.0 - 1e-16))
+    a = ub**d
+    args = (a, 1.0 - a, c1 * (1.0 - a), (d - 1.0) * np.log(ub), np.log(q.ravel()))
+    t = _iterate_each(step, state, args, 1e-14, 200)
+    return (1.0 - t ** (1.0 / d)).reshape(q.shape)

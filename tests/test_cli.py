@@ -222,3 +222,17 @@ def test_reproduce_output(capsys):
 def test_bench_unknown_case(capsys):
     code, _ = run(capsys, "bench", "--table", "13")
     assert code == 2
+
+
+@pytest.mark.parametrize("dim", ["-1", "0"])
+@pytest.mark.parametrize("model", [
+    ("--copula", "gaussian", "--rho", "0"),
+    ("--copula", "student-t", "--rho", "0", "--nu", "5"),
+    ("--copula", "clayton", "--delta", "3"),
+], ids=lambda argv: argv[1])
+def test_estimate_rejects_dimension_below_one(capsys, model, dim):
+    code = main(["estimate", *model, "--p", "1", "--dim", dim, "--reps", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--dim" in captured.err

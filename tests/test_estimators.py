@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, stdtr
 
 from tailtilt.copulas import CopulaSpec, CornerEvent, vine_preset
 from tailtilt.errors import ConfigError, DomainError, ParameterError, ShapeError
 from tailtilt.estimators import (
+    _FIRST_COLUMN_SLACK,
     EstimateResult,
     ExperimentConfig,
     replicate,
@@ -14,6 +17,7 @@ from tailtilt.estimators import (
     solve_event_theta,
     wnrv,
 )
+from tailtilt.estimators import _chain_hits, _corner_hits, _first_column, _rinv
 from tailtilt.oracle import clayton_corner_prob, rect_prob_t
 from tailtilt.randkit import MarginSpec
 
@@ -384,3 +388,57 @@ def test_variance_ordering_shallow_corner():
     t3 = replicate(ExperimentConfig(model, ev, "is-t3", n=500, M=1000, seed=519,
                                     theta=(0.57,)))
     assert t1.sd < t2.sd < t3.sd < naive.sd
+
+
+UNIF = MarginSpec("uniform01")
+CHAIN_MODELS = {
+    "gaussian0.5": CopulaSpec("gaussian", (UNIF,) * 3, sigma=corr(0.5, 3)),
+    "gaussian0": CopulaSpec("gaussian", (UNIF,) * 2, sigma=corr(0.0)),
+    "gaussian-0.5": CopulaSpec("gaussian", (UNIF,) * 2, sigma=corr(-0.5)),
+    "t0.5": CopulaSpec("student-t", (UNIF,) * 2, sigma=corr(0.5), nu=0.5),
+    "t1": CopulaSpec("student-t", (UNIF,) * 2, sigma=corr(0.5), nu=1.0),
+    "t4": CopulaSpec("student-t", (UNIF,) * 2, sigma=corr(0.5), nu=4.0),
+    "t5": CopulaSpec("student-t", (UNIF,) * 3, sigma=corr(0.3, 3), nu=5.0),
+    "clayton": CopulaSpec("clayton", (UNIF,) * 3, delta=3.0),
+    "vine3": vine_preset("3d"),
+    "vine4": vine_preset("4d"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       near=st.integers(0, 40), lower=st.booleans(),
+       first=st.one_of(st.floats(0.02, 0.98), st.floats(-1e-8, 1e-8).map(lambda x: 0.5 + x)),
+       rest=st.lists(st.floats(0.02, 0.98), min_size=3, max_size=3))
+def test_chain_hits_match_the_full_map_property(seed, n, near, lower, first, rest):
+    direction = "lower" if lower else "upper"
+    rng = np.random.default_rng(seed)
+    k = min(near, n)
+    for name, model in CHAIN_MODELS.items():
+        th = np.array([first, *rest][:model.d])
+        v = rng.uniform(size=(n, model.d))
+        # rows whose first uniform sits within 1e-7 of the threshold, half of
+        # them within 1e-15, where a round trip off by an ulp decides; near
+        # 0.5 the t round trip at nu = 1 and 4 is off by up to 1.1e-8
+        gap = 10.0 ** rng.uniform(-16.0, -7.0, k)
+        gap[: k // 2] = rng.uniform(-1e-15, 1e-15, k // 2)
+        v[:k, 0] = th[0] + gap * rng.choice([-1.0, 1.0], k)
+        want = _corner_hits(_rinv(model, v), th, direction)
+        assert np.array_equal(_chain_hits(model, v, th, direction), want), name
+
+
+def test_first_column_of_every_rosenblatt_inverse_is_known_in_advance():
+    tail = 10.0 ** -np.linspace(1.0, 16.0, 61)
+    first = np.concatenate([[2.0**-54, np.nextafter(1.0, 0.0)], tail, 1.0 - tail,
+                            0.5 - tail, 0.5 + tail, np.linspace(0.01, 0.99, 99)])
+    rng = np.random.default_rng(9)
+    for name, model in CHAIN_MODELS.items():
+        v = rng.uniform(size=(first.size, model.d))
+        v[:, 0] = first
+        col = _rinv(model, v)[:, 0]
+        if name.startswith("t"):
+            # the t map's round trip is computed, so it must match bit for bit
+            assert np.array_equal(_first_column(model, first), col), name
+        else:
+            assert np.array_equal(_first_column(model, first), first), name
+            assert np.abs(col - first).max() <= 1e-14, name

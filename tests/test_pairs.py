@@ -101,3 +101,24 @@ def test_h_monotone_in_second_argument(pc):
         out = h_func(pc, v2, np.full_like(v2, v1))
         assert np.all(np.diff(out) >= 0.0)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def test_joe_inverse_converges_for_a_lone_element():
+    pc = PairCopula("joe", delta=3.0)
+    q, v1 = 0.887309882497851, 0.9999847192800818
+    v2 = h_inv(pc, [q], [v1])
+    assert abs(h_func(pc, v2, [v1])[0] - q) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "pc",
+    [PairCopula("gumbel", delta=3.0), PairCopula("joe", delta=3.0)],
+    ids=lambda pc: pc.label(),
+)
+def test_numeric_inverse_of_an_element_ignores_the_rest_of_the_call(pc):
+    rng = np.random.default_rng(11)
+    q, v1 = rng.uniform(0.0, 1.0, 400), 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, 400)
+    batch = h_inv(pc, q, v1)
+    single = np.array([h_inv(pc, [qi], [vi])[0] for qi, vi in zip(q, v1)])
+    assert np.array_equal(single, batch)
+    np.testing.assert_allclose(h_func(pc, single, v1), q, rtol=0, atol=1e-9)
