@@ -220,7 +220,7 @@ def _model_labels(model) -> tuple[str, str]:
     if model.family == "clayton":
         return "clayton", f"delta={model.delta:g};margins={margin}"
     off = model.sigma[np.triu_indices(model.d, 1)]
-    if np.all(off == off[0]) or model.d == 2:
+    if off.size and (np.all(off == off[0]) or model.d == 2):
         corr = f"rho={off[0]:g}"
     else:
         corr = "sigma=" + json.dumps([[round(v, 6) for v in row] for row in model.sigma])

@@ -11,9 +11,9 @@ gamma-normal pair for the t copula, the frailty construction for Clayton).
 runs through :func:`replicate`.
 
 The is-t1 and is-t3 indicators run the Rosenblatt chain only on the rows
-whose first coordinate can still reach the corner. That coordinate is the
-first uniform itself, or for the t copula its round trip through the t
-quantile, so it is known before the chain runs.
+whose first coordinate can still reach the corner. Every inverse map passes
+the first uniform through as that coordinate, the Gaussian's only to within
+2.2e-16, so it is known before the chain runs.
 
 Every method draws replication r from ``make_stream(seed, r)``, so results
 are bit-identical no matter how replications are scheduled across threads.
@@ -36,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
 
 from .copulas import (
     CopulaSpec,
@@ -156,32 +155,21 @@ def _corner_hits(u: np.ndarray, u0: np.ndarray, direction: str) -> np.ndarray:
     return np.all(u < u0, axis=1)
 
 
-# Column 1 of every Rosenblatt inverse is v1 in exact arithmetic. The vine and
-# Clayton maps copy it, and the Gaussian map round-trips it through
-# ndtr(ndtri(v1)), which stays within 2.2e-16 of v1 from 2^-54 to the last
-# double below 1. The t map's stdtr(stdtrit(v1)) strays further (by up to
-# 1.4e-8 near 0.5 at nu = 1, 4 and 6, and by almost 1 in the lower tail at
-# nu = 0.05 and 0.1), so its first column is computed as the map computes it.
-# A row whose first column misses the corner by more than the slack cannot be
-# a hit, and the exact corner test decides every other row.
+# Column 1 of every Rosenblatt inverse is v1, except that the Gaussian map
+# round-trips it through ndtr(ndtri(v1)), which stays within 2.2e-16 of v1
+# from 2^-54 to the last double below 1. A row whose first uniform misses the
+# corner by more than the slack cannot be a hit, and the exact corner test
+# decides every other row.
 _FIRST_COLUMN_SLACK = 1e-12
-
-
-def _first_column(model, v1: np.ndarray) -> np.ndarray:
-    """Column 1 of ``_rinv(model, v)``, to within ``_FIRST_COLUMN_SLACK``."""
-    if not _is_vine(model) and model.family == "student-t":
-        return stdtr(model.nu, stdtrit(model.nu, v1))
-    return v1
 
 
 def _chain_hits(model, v: np.ndarray, u0: np.ndarray, direction: str) -> np.ndarray:
     """``_corner_hits(_rinv(model, v), u0, direction)``, mapping only the rows
     whose first column can still reach the corner."""
-    first = _first_column(model, v[:, 0])
     if direction == "upper":
-        rows = np.flatnonzero(first > u0[0] - _FIRST_COLUMN_SLACK)
+        rows = np.flatnonzero(v[:, 0] > u0[0] - _FIRST_COLUMN_SLACK)
     else:
-        rows = np.flatnonzero(first < u0[0] + _FIRST_COLUMN_SLACK)
+        rows = np.flatnonzero(v[:, 0] < u0[0] + _FIRST_COLUMN_SLACK)
     hits = np.zeros(v.shape[0], dtype=bool)
     if rows.size:
         hits[rows] = _corner_hits(_rinv(model, v[rows]), u0, direction)

@@ -5,8 +5,7 @@ Each family fixes a latent base measure P, a statistic T with cumulant
 e^{θ·T − ψ(θ)}. An importance-sampling estimator draws from Q_θ and weighs
 by the inverse ratio, so every tilted draw carries log dP/dQ_θ =
 ψ(θ) − θ·T. The conjugate measure Q̄_θ used in the optimality condition is
-simply Q_{−θ}, and ``sample_tilted`` exposes it through a flag that negates
-θ on the same code path, which makes the two bit-identical by construction.
+simply Q_{−θ}.
 
 Five families are provided:
 
@@ -171,7 +170,6 @@ class Pilot:
     log_weight: np.ndarray
     size: int
     hits: int
-    proposal_theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -329,10 +327,8 @@ def hess_psi(f: TiltFamily, theta) -> np.ndarray:
 # tilted sampling
 
 
-def sample_tilted(
-    f: TiltFamily, s: RngStream, theta, n: int = 1, *, conjugate: bool = False
-) -> TiltedSample:
-    """Draw ``n`` rows from Q_θ, or from Q̄_θ = Q_{−θ} when ``conjugate``.
+def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSample:
+    """Draw ``n`` rows from Q_θ.
 
     At the zero tilt every family consumes the stream exactly like the
     matching crude sampler and reproduces its draws bit for bit, with all
@@ -340,9 +336,6 @@ def sample_tilted(
     """
     th = _as_theta(f, theta)
     _check_domain(f, th)
-    if conjugate:
-        th = -th
-        _check_domain(f, th)
     if n < 1:
         raise ParameterError(f"sample size must be at least 1, got {n}")
 
@@ -393,8 +386,7 @@ def sample_tilted(
 
 def draw_pilot(f: TiltFamily, indicator, s: RngStream, n: int, proposal_theta) -> Pilot:
     """Draw ``n`` rows from Q at ``proposal_theta`` and keep the event hits."""
-    th = _as_theta(f, proposal_theta)
-    ts = sample_tilted(f, s, th, n)
+    ts = sample_tilted(f, s, proposal_theta, n)
     keep = np.asarray(indicator(ts), dtype=bool)
     if keep.shape != (n,):
         raise ShapeError(f"indicator returned shape {keep.shape} for {n} draws")
@@ -403,7 +395,6 @@ def draw_pilot(f: TiltFamily, indicator, s: RngStream, n: int, proposal_theta) -
         log_weight=ts.log_lr[keep],
         size=n,
         hits=int(np.count_nonzero(keep)),
-        proposal_theta=th,
     )
 
 
@@ -636,7 +627,6 @@ def solve_theta_saa(
             log_weight=np.concatenate([pilot.log_weight, extra.log_weight]),
             size=pilot.size + extra.size,
             hits=pilot.hits + extra.hits,
-            proposal_theta=theta_hat,
         )
     if pilot.hits < pilot_min_hits:
         raise DegeneratePilotError(
@@ -812,7 +802,7 @@ def solve_theta_gaussian_tallis(sigma, a_star) -> TiltSolution:
 # large-deviation tilt for the t family
 
 
-def solve_theta_large_deviation(f: TiltFamily, a_star=None) -> TiltSolution:
+def solve_theta_large_deviation(f: TiltFamily) -> TiltSolution:
     """Minimize the t family's cumulant over the nonnegative orthant.
 
     The cumulant decreases with the ellipsoid margin, so this is the
@@ -822,9 +812,7 @@ def solve_theta_large_deviation(f: TiltFamily, a_star=None) -> TiltSolution:
     """
     if f.kind != "t-gamma-normal":
         raise ParameterError(f"large-deviation tilt applies to t-gamma-normal, not {f.kind}")
-    a = f.a_star if a_star is None else np.atleast_1d(np.asarray(a_star, dtype=np.float64))
-    if a.shape != (f.d,):
-        raise ShapeError(f"corner shape {a.shape} does not match d={f.d}")
+    a = f.a_star
     if np.any(a <= 0.0):
         raise DomainError(f"corner must be componentwise positive, got {a}")
 

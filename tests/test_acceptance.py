@@ -268,15 +268,6 @@ def test_criterion_6_structural_invariants(emit):
     if G_hat(f2, mid, pilot) > 0.5 * (G_hat(f2, lo, pilot) + G_hat(f2, hi, pilot)) + 1e-12:
         bad.append("pilot convexity")
 
-    # sampling under the conjugate flag equals sampling at the negated tilt
-    for f, th in ((fams[0][0], (1.1, -0.7)), (fams[2][0], (0.3, 0.2))):
-        th = np.atleast_1d(np.asarray(th, dtype=np.float64))
-        flagged = sample_tilted(f, make_stream(11, 3), th, 64, conjugate=True)
-        negated = sample_tilted(f, make_stream(11, 3), -th, 64)
-        if not (np.array_equal(flagged.x, negated.x)
-                and np.array_equal(flagged.log_lr, negated.log_lr)):
-            bad.append(f"conjugate {f.kind}")
-
     # first-order optimality holds at the solved tilt, up to pilot noise
     gap, se = first_order_gap(f2, theta_star, pilot)
     if not np.all(np.abs(gap) <= 3.0 * se):
@@ -291,7 +282,7 @@ def test_criterion_6_structural_invariants(emit):
         bad.append("thread determinism")
 
     emit("criterion 6 (structural invariants)", not bad,
-         "all 8 identity groups hold" if not bad else "failed " + ", ".join(bad))
+         "all 7 identity groups hold" if not bad else "failed " + ", ".join(bad))
 
 
 def _corr(rho):

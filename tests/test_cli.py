@@ -236,3 +236,14 @@ def test_estimate_rejects_dimension_below_one(capsys, model, dim):
     assert code == 2
     assert captured.out == ""
     assert "--dim" in captured.err
+
+
+@pytest.mark.parametrize("model", [
+    ("--copula", "gaussian", "--rho", "0"),
+    ("--copula", "student-t", "--rho", "0", "--nu", "5"),
+], ids=lambda argv: argv[1])
+def test_estimate_one_dimensional_model(capsys, model):
+    code, out = run_json(capsys, "estimate", *model, "--p", "1", "--dim", "1",
+                         "--n", "10", "--reps", "3")
+    assert code == 0
+    assert "sigma=[[1.0]];" in out["params"]

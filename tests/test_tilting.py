@@ -210,7 +210,7 @@ def test_hessian_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# tilted sampling: zero-tilt degeneracy, conjugate identity, moments
+# tilted sampling: zero-tilt degeneracy, moments
 
 
 def test_zero_tilt_reproduces_uniform_block():
@@ -271,29 +271,6 @@ def test_zero_tilt_reproduces_crude_draws_property(seed, n):
         assert np.array_equal(x, draw(s2)), f.kind
         assert np.all(ts.log_lr == 0.0), f.kind
         assert s1.position == s2.position, f.kind
-
-
-def test_conjugate_is_negated_tilt():
-    cases = [
-        (te_family(), np.array([1.3, -0.7])),
-        (mvn_family(0.5), np.array([0.9, -0.4])),
-        (t_family(2.0), np.array([0.3, 0.2])),
-        (clayton_family(), np.array([0.5, 1.0, -2.0])),
-        (hazard_family(), np.array([0.6])),
-    ]
-    for f, th in cases:
-        a = sample_tilted(f, make_stream(7, 305), th, 64, conjugate=True)
-        b = sample_tilted(f, make_stream(7, 305), -th, 64)
-        assert np.array_equal(a.x, b.x), f.kind
-        assert np.array_equal(a.stat, b.stat), f.kind
-        assert np.array_equal(a.log_lr, b.log_lr), f.kind
-
-
-def test_conjugate_requires_both_tilts_in_domain():
-    f = hazard_family()
-    sample_tilted(f, make_stream(7, 306), (-3.0,), 4)
-    with pytest.raises(DomainError):
-        sample_tilted(f, make_stream(7, 306), (-3.0,), 4, conjugate=True)
 
 
 def test_tilted_mean_mvn():
@@ -428,8 +405,7 @@ def test_degenerate_pilot_rejected():
     pilot = draw_pilot(f, never, make_stream(12, 361), 500, (0.0, 0.0))
     with pytest.raises(DegeneratePilotError):
         G_hat(f, (0.0, 0.0), pilot)
-    empty = Pilot(stat=np.empty((0, 2)), log_weight=np.empty(0), size=0, hits=0,
-                  proposal_theta=np.zeros(2))
+    empty = Pilot(stat=np.empty((0, 2)), log_weight=np.empty(0), size=0, hits=0)
     with pytest.raises(DegeneratePilotError):
         G_hat(f, (0.0, 0.0), empty)
 
@@ -642,8 +618,9 @@ def test_large_deviation_is_a_minimum():
 
 
 def test_large_deviation_validation():
+    f = TiltFamily("t-gamma-normal", 2, sigma=corr(0.0, 2), nu=5.0, a_star=(1.0, -0.5))
     with pytest.raises(DomainError):
-        solve_theta_large_deviation(t_family(3.0), a_star=np.array([1.0, -0.5]))
+        solve_theta_large_deviation(f)
     with pytest.raises(ParameterError):
         solve_theta_large_deviation(mvn_family(0.0))
 
