@@ -24,6 +24,7 @@ from ..errors import DomainError, ParameterError, ShapeError
 from ..randkit import (
     MarginSpec,
     RngStream,
+    _check_clayton_delta,
     _check_sigma,
     _cholesky,
     margin_cdf,
@@ -69,10 +70,10 @@ class CopulaSpec:
             if self.sigma is None:
                 raise ParameterError(f"{self.family} copula requires a correlation matrix")
             object.__setattr__(self, "sigma", _check_sigma(self.sigma, d, unit_diag=True))
-        if self.family == "student-t" and not self.nu > 0:
-            raise ParameterError(f"degrees of freedom must be positive, got {self.nu}")
-        if self.family == "clayton" and not self.delta > 0:
-            raise ParameterError(f"clayton parameter must be positive, got {self.delta}")
+        if self.family == "student-t" and not 0.0 < self.nu < np.inf:
+            raise ParameterError(f"degrees of freedom must be finite and positive, got {self.nu}")
+        if self.family == "clayton":
+            _check_clayton_delta(self.delta, "clayton")
 
     @property
     def d(self) -> int:

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from ..errors import ParameterError
+from ..randkit import _check_clayton_delta
 
 __all__ = ["PairCopula", "h_func", "h_inv"]
 
@@ -46,13 +47,13 @@ class PairCopula:
             raise ParameterError(f"unknown pair copula family {self.family!r}")
         if self.family in ("gaussian", "student-t") and not abs(self.rho) < 1:
             raise ParameterError(f"correlation must satisfy |rho| < 1, got {self.rho}")
-        if self.family == "student-t" and not self.nu > 0:
-            raise ParameterError(f"degrees of freedom must be positive, got {self.nu}")
-        if self.family == "clayton" and not self.delta > 0:
-            raise ParameterError(f"clayton parameter must be positive, got {self.delta}")
-        if self.family in ("gumbel", "joe") and not self.delta >= 1:
+        if self.family == "student-t" and not 0.0 < self.nu < np.inf:
+            raise ParameterError(f"degrees of freedom must be finite and positive, got {self.nu}")
+        if self.family == "clayton":
+            _check_clayton_delta(self.delta, "clayton")
+        if self.family in ("gumbel", "joe") and not 1.0 <= self.delta < np.inf:
             raise ParameterError(
-                f"{self.family} parameter must be at least 1, got {self.delta}"
+                f"{self.family} parameter must be finite and at least 1, got {self.delta}"
             )
         if self.family == "frank" and (self.delta == 0 or not np.isfinite(self.delta)):
             raise ParameterError(f"frank parameter must be finite and nonzero, got {self.delta}")

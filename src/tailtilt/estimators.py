@@ -99,7 +99,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose one of {_METHODS}")
-        for name, v in (("n", self.n), ("M", self.M)):
+        for name, v in (("n", self.n), ("M", self.M), ("seed", self.seed)):
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.n < 1 or self.M < 1:
@@ -320,20 +320,20 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
 
     M = cfg.M
     est = np.empty(M)
-    within = np.empty(M)
 
-    def run(r: int) -> None:
+    def run(r: int) -> np.ndarray:
         terms = rep_fn(make_stream(cfg.seed, r))
         est[r] = terms.mean()
-        within[r] = terms.std() / np.sqrt(cfg.n)
+        return terms
 
     t0 = time.perf_counter()
     if threads == 1 or M == 1:
         for r in range(M):
-            run(r)
+            terms = run(r)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(M), chunksize=max(1, M // (threads * 8))))
+            for _ in pool.map(run, range(M), chunksize=max(1, M // (threads * 8))):
+                pass
     seconds = time.perf_counter() - t0
 
     u_hat = float(est.mean())
@@ -341,7 +341,7 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
         sd = float(est.std(ddof=1))
         sd_within = False
     else:
-        sd = float(within[0])
+        sd = float(terms.std() / np.sqrt(cfg.n))
         sd_within = True
     wn = (sd * sd / (u_hat * u_hat)) * (seconds / M) if u_hat > 0.0 else None
     return EstimateResult(u_hat=u_hat, sd=sd, n=cfg.n, reps=M, seconds=seconds,

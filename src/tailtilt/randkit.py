@@ -157,10 +157,10 @@ def sample_gamma(s: RngStream, shape: float, rate: float, n: int = 1) -> np.ndar
     """
     shape = float(shape)
     rate = float(rate)
-    if not shape > 0:
-        raise ParameterError(f"gamma shape must be positive, got {shape}")
-    if not rate > 0:
-        raise ParameterError(f"gamma rate must be positive, got {rate}")
+    if not 0.0 < shape < np.inf:
+        raise ParameterError(f"gamma shape must be finite and positive, got {shape}")
+    if not 0.0 < rate < np.inf:
+        raise ParameterError(f"gamma rate must be finite and positive, got {rate}")
 
     a = shape if shape >= 1.0 else shape + 1.0
     d = a - 1.0 / 3.0
@@ -217,6 +217,14 @@ def _check_sigma(sigma, d: int, *, unit_diag: bool) -> np.ndarray:
         raise ParameterError("correlation matrix must have a unit diagonal")
     _cholesky(sigma)  # fails fast if not positive definite
     return sigma
+
+
+def _check_clayton_delta(delta: float, what: str) -> None:
+    """Reject a Clayton parameter unless it and its reciprocal, the shape of
+    the frailty's gamma law, are finite and positive."""
+    if not (0.0 < delta < np.inf and 1.0 / float(delta) < np.inf):
+        raise ParameterError(f"{what} parameter must be finite and positive, with a "
+                             f"finite reciprocal, got {delta}")
 
 
 def sample_mvn(s: RngStream, mean, sigma, n: int = 1) -> np.ndarray:

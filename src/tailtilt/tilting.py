@@ -30,7 +30,8 @@ solves the Gaussian first-order condition through the closed-form truncated
 normal moment, ``solve_theta_large_deviation`` minimizes ψ itself for the t
 family, and ``solve_hrt_theta`` is the one-parameter case of
 ``solve_theta_saa`` for the scalar hazard-rate twist, projected onto [0, 1).
-Every pilot solve runs the same pre-tilt, pilot stage and damped Newton.
+Every pilot solve runs the same pre-tilt, pilot stage and damped Newton; the
+pre-tilt's moment match is that damped Newton too, run on a one-row pilot.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp, ndtr, softmax
+from scipy.special import ndtr
 
 from .errors import (
     DegeneratePilotError,
@@ -49,7 +50,8 @@ from .errors import (
     SolverError,
 )
 from .oracle import rect_prob_gaussian
-from .randkit import RngStream, _check_sigma, _trunc_exp_inverse_cdf, sample_gamma, sample_mvn
+from .randkit import (RngStream, _check_clayton_delta, _check_sigma, _trunc_exp_inverse_cdf,
+                      sample_gamma, sample_mvn)
 
 __all__ = [
     "TiltFamily",
@@ -102,15 +104,15 @@ class TiltFamily:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown tilting family {self.kind!r}")
-        if self.d < 1:
-            raise ParameterError(f"dimension must be at least 1, got {self.d}")
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 1:
+            raise ParameterError(f"dimension must be an integer of at least 1, got {self.d!r}")
         if self.kind in ("mvn-shift", "t-gamma-normal"):
             if self.sigma is None:
                 raise ParameterError(f"{self.kind} requires a covariance matrix")
             object.__setattr__(self, "sigma", _check_sigma(self.sigma, self.d, unit_diag=False))
         if self.kind == "t-gamma-normal":
-            if not self.nu > 0:
-                raise ParameterError(f"degrees of freedom must be positive, got {self.nu}")
+            if not 0.0 < self.nu < np.inf:
+                raise ParameterError(f"degrees of freedom must be finite and > 0, got {self.nu}")
             if self.a_star is None:
                 raise ParameterError("t-gamma-normal requires the corner point a_star")
             a = np.atleast_1d(np.asarray(self.a_star, dtype=np.float64))
@@ -119,8 +121,8 @@ class TiltFamily:
             if not np.all(np.isfinite(a)):
                 raise ParameterError("a_star must be finite")
             object.__setattr__(self, "a_star", a)
-        if self.kind == "clayton-mo" and not self.delta > 0:
-            raise ParameterError(f"clayton-mo parameter must be positive, got {self.delta}")
+        if self.kind == "clayton-mo":
+            _check_clayton_delta(self.delta, "clayton-mo")
 
     @property
     def theta_dim(self) -> int:
@@ -212,6 +214,7 @@ def _as_theta(f: TiltFamily, theta) -> np.ndarray:
         raise ShapeError(f"tilt vector shape {th.shape} does not match {f.label()}")
     if not np.all(np.isfinite(th)):
         raise DomainError(f"tilt vector must be finite, got {th}")
+    _check_domain(f, th)
     return th
 
 
@@ -228,12 +231,8 @@ def _check_domain(f: TiltFamily, th: np.ndarray) -> None:
                 "tilt outside the t family's ellipsoid: "
                 f"1 + 2 theta'a*/nu - theta'Sigma theta/nu = {margin:.6g} must be positive"
             )
-    elif f.kind == "clayton-mo":
-        if not th[0] < 1.0:
-            raise DomainError(f"frailty tilt must satisfy theta_w < 1, got {th[0]:.6g}")
-    elif f.kind == "hazard-rate":
-        if not th[0] < 1.0:
-            raise DomainError(f"hazard twist must satisfy theta < 1, got {th[0]:.6g}")
+    elif f.kind in ("clayton-mo", "hazard-rate") and not th[0] < 1.0:
+        raise DomainError(f"{f.label()} needs a first tilt coordinate below 1, got {th[0]:.6g}")
 
 
 def _psi_te(t: np.ndarray) -> np.ndarray:
@@ -273,7 +272,6 @@ def _d2psi_te(t: np.ndarray) -> np.ndarray:
 def psi(f: TiltFamily, theta) -> float:
     """Cumulant of the tilting statistic; zero at the zero tilt."""
     th = _as_theta(f, theta)
-    _check_domain(f, th)
     if f.kind == "trunc-exp-product":
         return float(np.sum(_psi_te(th)))
     if f.kind == "mvn-shift":
@@ -288,7 +286,6 @@ def psi(f: TiltFamily, theta) -> float:
 def grad_psi(f: TiltFamily, theta) -> np.ndarray:
     """Gradient of the cumulant, the tilted mean of the statistic."""
     th = _as_theta(f, theta)
-    _check_domain(f, th)
     if f.kind == "trunc-exp-product":
         return _dpsi_te(th)
     if f.kind == "mvn-shift":
@@ -296,17 +293,13 @@ def grad_psi(f: TiltFamily, theta) -> np.ndarray:
     if f.kind == "t-gamma-normal":
         return (f.sigma @ th - f.a_star) / _t_ellipsoid_margin(f, th)
     if f.kind == "clayton-mo":
-        out = np.empty(f.d + 1)
-        out[0] = 1.0 / (f.delta * (1.0 - th[0]))
-        out[1:] = _dpsi_te(th[1:])
-        return out
+        return np.concatenate(([1.0 / (f.delta * (1.0 - th[0]))], _dpsi_te(th[1:])))
     return np.array([f.d / (1.0 - th[0])])
 
 
 def hess_psi(f: TiltFamily, theta) -> np.ndarray:
     """Hessian of the cumulant, the tilted covariance of the statistic."""
     th = _as_theta(f, theta)
-    _check_domain(f, th)
     if f.kind == "trunc-exp-product":
         return np.diag(_d2psi_te(th))
     if f.kind == "mvn-shift":
@@ -316,15 +309,21 @@ def hess_psi(f: TiltFamily, theta) -> np.ndarray:
         r = (f.sigma @ th - f.a_star) / margin
         return f.sigma / margin + (2.0 / f.nu) * np.outer(r, r)
     if f.kind == "clayton-mo":
-        diag = np.empty(f.d + 1)
-        diag[0] = 1.0 / (f.delta * (1.0 - th[0]) ** 2)
-        diag[1:] = _d2psi_te(th[1:])
-        return np.diag(diag)
+        return np.diag(np.concatenate(([1.0 / (f.delta * (1.0 - th[0]) ** 2)], _d2psi_te(th[1:]))))
     return np.array([[f.d / (1.0 - th[0]) ** 2]])
 
 
 # ---------------------------------------------------------------------------
 # tilted sampling
+
+
+def _trunc_exp_block(s: RngStream, th: np.ndarray, n: int) -> np.ndarray:
+    """``n`` rows of independent uniforms, column j tilted by ``th[j]``."""
+    u = s.uniforms(n * len(th)).reshape(n, len(th))
+    v = np.empty_like(u)
+    for j, t in enumerate(th):
+        v[:, j] = _trunc_exp_inverse_cdf(u[:, j], t)
+    return v
 
 
 def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSample:
@@ -335,15 +334,11 @@ def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSampl
     log likelihood ratios equal to zero.
     """
     th = _as_theta(f, theta)
-    _check_domain(f, th)
-    if n < 1:
-        raise ParameterError(f"sample size must be at least 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError(f"sample size must be an integer of at least 1, got {n!r}")
 
     if f.kind == "trunc-exp-product":
-        u = s.uniforms(n * f.d).reshape(n, f.d)
-        v = np.empty_like(u)
-        for j in range(f.d):
-            v[:, j] = _trunc_exp_inverse_cdf(u[:, j], th[j])
+        v = _trunc_exp_block(s, th, n)
         x, stat, latent = v, v, (v,)
     elif f.kind == "mvn-shift":
         x = sample_mvn(s, f.sigma @ th, f.sigma, n)
@@ -359,10 +354,7 @@ def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSampl
         latent = (y, z)
     elif f.kind == "clayton-mo":
         w = sample_gamma(s, 1.0 / f.delta, 1.0 - th[0], n)
-        u = s.uniforms(n * f.d).reshape(n, f.d)
-        v = np.empty_like(u)
-        for j in range(f.d):
-            v[:, j] = _trunc_exp_inverse_cdf(u[:, j], th[1 + j])
+        v = _trunc_exp_block(s, th[1:], n)
         x = (1.0 - np.log(v) / w[:, None]) ** (-1.0 / f.delta)
         stat = np.column_stack([w, v])
         latent = (w, v)
@@ -405,7 +397,6 @@ def G_hat(f: TiltFamily, theta, pilot: Pilot) -> float:
     at θ = 0 is the pilot's empirical event probability.
     """
     th = _as_theta(f, theta)
-    _check_domain(f, th)
     if pilot.size == 0 or pilot.hits == 0:
         raise DegeneratePilotError(
             f"pilot carries no event hits ({pilot.hits} of {pilot.size} draws)"
@@ -416,9 +407,21 @@ def G_hat(f: TiltFamily, theta, pilot: Pilot) -> float:
 def _log_g(f: TiltFamily, th: np.ndarray, pilot: Pilot) -> float:
     return float(
         psi(f, th)
-        + logsumexp(pilot.log_weight - pilot.stat @ th)
+        + _log_sum_exp(pilot.log_weight - pilot.stat @ th)
         - np.log(pilot.size)
     )
+
+
+# max-shifted in plain numpy: scipy's logsumexp and softmax wrappers cost
+# tens of µs per call even on one element, paid at every pre-tilt Newton step
+def _log_sum_exp(x: np.ndarray) -> float:
+    top = x.max()
+    return top + np.log(np.sum(np.exp(x - top)))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
 
 def first_order_gap(f: TiltFamily, theta, pilot: Pilot) -> tuple[np.ndarray, np.ndarray]:
@@ -432,7 +435,7 @@ def first_order_gap(f: TiltFamily, theta, pilot: Pilot) -> tuple[np.ndarray, np.
     th = _as_theta(f, theta)
     if pilot.hits == 0:
         raise DegeneratePilotError("pilot carries no event hits")
-    p = softmax(pilot.log_weight - pilot.stat @ th)
+    p = _softmax(pilot.log_weight - pilot.stat @ th)
     lhs = p @ pilot.stat
     centered = pilot.stat - lhs[None, :]
     se = np.sqrt((p * p) @ (centered * centered))
@@ -440,52 +443,14 @@ def first_order_gap(f: TiltFamily, theta, pilot: Pilot) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# coarse pre-tilt by conditional-mean matching
+# coarse pre-tilt by moment matching: ψ(θ) − θ·m is log Ĝ of a one-row pilot
+# at stat = m, so the pilot's own damped Newton solves ∇ψ(θ) = m from θ = 0
 
 
-def _match_te_mean(m: np.ndarray) -> np.ndarray:
-    """Per-component tilt whose tilted-uniform mean equals m."""
-    m = np.clip(np.asarray(m, dtype=np.float64), 1e-9, 1.0 - 1e-9)
-    out = np.empty_like(m)
-    for i, mi in enumerate(m):
-        if abs(mi - 0.5) < 1e-9:
-            out[i] = 0.0
-            continue
-        lo, hi = -2.0, 2.0
-        while _dpsi_te(np.array([hi]))[0] < mi:
-            hi *= 2.0
-        while _dpsi_te(np.array([lo]))[0] > mi:
-            lo *= 2.0
-        out[i] = brentq(lambda t: float(_dpsi_te(np.array([t]))[0]) - mi, lo, hi, xtol=1e-10)
-    return out
-
-
-def _match_mean(f: TiltFamily, m: np.ndarray) -> np.ndarray:
+def _match_mean(f: TiltFamily, m: np.ndarray, max_iters: int) -> np.ndarray:
     """Solve grad_psi(θ) = m for θ, the moment-matching pre-tilt."""
-    if f.kind == "trunc-exp-product":
-        return _match_te_mean(m)
-    if f.kind == "mvn-shift":
-        return np.linalg.solve(f.sigma, m)
-    if f.kind == "t-gamma-normal":
-        # grad equals m at θ = Σ^{-1}(a* + c m) where the scalar c must
-        # reproduce the ellipsoid margin; a sign change always exists
-        def gap(c: float) -> float:
-            th = np.linalg.solve(f.sigma, f.a_star + c * m)
-            return _t_ellipsoid_margin(f, th) - c
-
-        hi = 2.0
-        while gap(hi) > 0.0:
-            hi *= 2.0
-            if hi > 2.0**40:
-                raise SolverError("moment matching for the t family did not bracket")
-        c = brentq(gap, 0.0, hi, xtol=1e-12)
-        return np.linalg.solve(f.sigma, f.a_star + c * m)
-    if f.kind == "clayton-mo":
-        out = np.empty(f.d + 1)
-        out[0] = min(max(1.0 - 1.0 / (f.delta * max(m[0], 1e-12)), -5.0), 0.98)
-        out[1:] = _match_te_mean(m[1:])
-        return out
-    return np.array([min(max(1.0 - f.d / max(m[0], 1e-12), 0.0), 0.98)])
+    pilot = Pilot(stat=m[None, :], log_weight=np.zeros(1), size=1, hits=1)
+    return _newton_minimize_log_g(f, pilot, np.zeros(f.theta_dim), max_iters)[0]
 
 
 def _rejection_stat_mean(
@@ -547,7 +512,7 @@ def _newton_minimize_log_g(
     th = theta0.astype(np.float64).copy()
     fval = _log_g(f, th, pilot)
     for it in range(max_iters + 1):
-        p = softmax(lw - stat @ th)
+        p = _softmax(lw - stat @ th)
         mu = p @ stat
         g = grad_psi(f, th) - mu
         gnorm = float(np.linalg.norm(g))
@@ -593,7 +558,8 @@ def solve_theta_saa(
 
     The pilot proposal comes from a coarse pre-tilt: the tilt whose
     statistic mean matches the event-conditional mean estimated by crude
-    rejection. ``pre_theta`` overrides that stage; when rejection cannot
+    rejection, found by the same damped Newton run on a one-row pilot.
+    ``pre_theta`` overrides that stage; when rejection cannot
     reach 50 hits the solver falls back to the large-deviation tilt for the
     t family, and otherwise raises. The pilot draws 20,000 rows at the
     pre-tilt, topped up once with three times as many when short of
@@ -607,11 +573,10 @@ def solve_theta_saa(
     """
     if pre_theta is not None:
         theta_hat = _as_theta(f, pre_theta)
-        _check_domain(f, theta_hat)
     else:
         mean, hits_pre = _rejection_stat_mean(f, indicator, s, n_pre)
         if mean is not None:
-            theta_hat = _match_mean(f, mean)
+            theta_hat = _match_mean(f, mean, max_iters)
         elif f.kind == "t-gamma-normal":
             theta_hat = solve_theta_large_deviation(f).theta_o
         else:

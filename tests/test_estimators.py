@@ -56,7 +56,8 @@ def test_config_validation():
         ExperimentConfig(gauss_model(), upper(1.0), "naive", M=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(gauss_model(), upper(1.0), "naive", route="fancy")
-    for bad in ({"n": 100.5}, {"M": 20.0}, {"n": True}, {"M": True}):
+    for bad in ({"n": 100.5}, {"M": 20.0}, {"n": True}, {"M": True},
+                {"seed": 1.5}, {"seed": "a"}, {"seed": True}):
         with pytest.raises(ConfigError):
             ExperimentConfig(gauss_model(), upper(1.0), "naive", **bad)
     for bad in ("abc", {"a": 1.0}, [[1.0], [1.0, 2.0]]):

@@ -63,6 +63,12 @@ def test_spec_validation():
         CopulaSpec("student-t", margins=(STD_NORMAL,) * 2, sigma=corr(0.2), nu=0.0)
     with pytest.raises(ParameterError):
         CopulaSpec("clayton", margins=(STD_NORMAL,) * 2, delta=-1.0)
+    for nu in (np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            CopulaSpec("student-t", margins=(STD_NORMAL,) * 2, sigma=corr(0.5), nu=nu)
+    for delta in (np.inf, np.nan, 5e-324):
+        with pytest.raises(ParameterError):
+            CopulaSpec("clayton", margins=(STD_NORMAL,) * 2, delta=delta)
     with pytest.raises(ParameterError):
         CornerEvent("diagonal", [1.0, 1.0])
 

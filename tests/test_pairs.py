@@ -39,6 +39,15 @@ def test_parameter_validation():
         PairCopula("joe", delta=0.5)
     with pytest.raises(ParameterError):
         PairCopula("frank", delta=0.0)
+    for nu in (np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            PairCopula("student-t", nu=nu, rho=0.5)
+    for delta in (np.inf, np.nan, 5e-324):
+        with pytest.raises(ParameterError):
+            PairCopula("clayton", delta=delta)
+    for family in ("gumbel", "joe"):
+        with pytest.raises(ParameterError):
+            PairCopula(family, delta=np.inf)
 
 
 def test_gaussian_independence_and_median():

@@ -245,6 +245,9 @@ def test_gamma_rejects_bad_parameters():
         sample_gamma(s, 0.0, 1.0)
     with pytest.raises(ParameterError):
         sample_gamma(s, 2.0, -1.0)
+    for shape, rate in ((np.inf, 1.0), (np.nan, 1.0), (2.0, np.inf), (2.0, np.nan)):
+        with pytest.raises(ParameterError):
+            sample_gamma(s, shape, rate, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from tailtilt.tilting import (
     G_hat,
     Pilot,
     TiltFamily,
+    _match_mean,
     draw_pilot,
     first_order_gap,
     grad_psi,
@@ -118,6 +119,15 @@ def test_family_validation():
         TiltFamily("t-gamma-normal", 2, sigma=corr(0.0, 2), nu=5.0, a_star=np.ones(3))
     with pytest.raises(ParameterError):
         TiltFamily("clayton-mo", 2, delta=0.0)
+    for delta in (np.inf, np.nan, 5e-324):
+        with pytest.raises(ParameterError):
+            TiltFamily("clayton-mo", 2, delta=delta)
+    for nu in (np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            TiltFamily("t-gamma-normal", 2, sigma=corr(0.0, 2), nu=nu, a_star=np.ones(2))
+    for d in (2.0, "2", True):
+        with pytest.raises(ParameterError):
+            TiltFamily("trunc-exp-product", d)
 
 
 def test_theta_dim_and_label():
@@ -324,8 +334,9 @@ def test_likelihood_ratio_normalizes():
 
 
 def test_sample_size_validated():
-    with pytest.raises(ParameterError):
-        sample_tilted(te_family(), make_stream(1, 308), (0.0, 0.0), 0)
+    for n in (0, 2.5, "2"):
+        with pytest.raises(ParameterError):
+            sample_tilted(te_family(), make_stream(1, 308), (0.0, 0.0), n)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +515,30 @@ def test_solve_saa_accepts_explicit_proposal():
                           pre_theta=np.array([1.5, 1.5]))
     assert sol.converged
     assert np.all(np.abs(sol.theta_o - 1.58) < 0.1)
+
+
+def test_moment_match_solves_the_mean_equation_inside_the_domain():
+    # includes means the per-family matchers used to clip: the hazard twist
+    # to [0, 0.98], the frailty tilt to [-5, 0.98] (0.98 is a mean of 50/delta)
+    # and trunc-exp means to [1e-9, 1 - 1e-9]
+    cases = [
+        (te_family(), (0.3, 0.97)),
+        (te_family(), (0.5, 1.0 - 1e-7)),
+        (te_family(), (1e-10, 0.8)),
+        (mvn_family(0.5), (2.0, 1.5)),
+        (t_family(2.0), (0.3, 0.35)),
+        (t_family(2.0, rho=0.5), (1.2, 0.1)),
+        (clayton_family(3.0), (0.5, 0.9, 0.95)),
+        (clayton_family(3.0), (60.0 / 3.0, 0.9, 1.0 - 1e-7)),
+        (clayton_family(3.0), (1e-3, 0.2, 0.8)),
+        (hazard_family(2), (1.5,)),
+        (hazard_family(2), (150.0,)),
+    ]
+    for f, m in cases:
+        m = np.array(m)
+        theta = _match_mean(f, m, 100)
+        psi(f, theta)  # raises DomainError outside the family's domain
+        assert np.linalg.norm(grad_psi(f, theta) - m) <= 1e-6, (f.kind, m, theta)
 
 
 # ---------------------------------------------------------------------------
