@@ -12,8 +12,10 @@ flags of the subcommand that ran, with the type and choices the flag takes,
 and ``--sigma`` and ``--theta`` take JSON either way. Flags given on the
 command line override file keys. Data rows go to CSV with the fixed
 column set method,family,params,p,u_hat,sd,seconds,wnrv,theta,seed; full
-diagnostics go to JSON. Exit status is 0 on success, 2 on a configuration
-problem, 3 when a tilt solver fails to converge.
+diagnostics go to JSON, among them the standard error ``se`` of the
+estimate and the solve time ``solve_seconds``, which ``seconds`` leaves
+out. Exit status is 0 on success, 2 on a configuration problem, 3 when a
+tilt solver fails to converge.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -285,10 +288,12 @@ def _cmd_estimate(opt: dict) -> int:
     cfg = ExperimentConfig(model, event, method, n=opt.get("n", 500),
                            M=opt.get("reps", 5000), seed=seed, theta=opt.get("theta"),
                            route=opt.get("route", "direct"))
-    theta = None
+    theta, solve_seconds = None, 0.0
     if method != "naive":
         if cfg.theta is None:
+            t0 = time.perf_counter()
             sol = solve_event_theta(cfg)
+            solve_seconds = time.perf_counter() - t0
             if not sol.converged:
                 print(f"tilt solver did not converge: {sol.report()}", file=sys.stderr)
                 return 3
@@ -300,8 +305,9 @@ def _cmd_estimate(opt: dict) -> int:
         "command": "estimate", "method": method, "family": family, "params": params,
         "p": _fmt_p(event), "direction": event.direction, "n": result.n,
         "reps": result.reps, "seed": seed, "u_hat": result.u_hat, "sd": result.sd,
-        "sd_within_run": result.sd_within_run, "seconds": result.seconds,
-        "wnrv": result.wnrv, "theta": None if theta is None else list(theta),
+        "se": result.se, "sd_within_run": result.sd_within_run,
+        "seconds": result.seconds, "solve_seconds": solve_seconds, "wnrv": result.wnrv,
+        "theta": None if theta is None else list(theta),
     }, opt.get("json_out"))
     if opt.get("csv"):
         _write_rows([_csv_row(model, event, result, theta, seed)], opt["csv"])
@@ -320,7 +326,8 @@ def _cmd_solve_theta(opt: dict) -> int:
         "iterations": sol.iterations, "residual_norm": sol.residual_norm,
         "pilot_size": sol.pilot_size, "pilot_hits": sol.pilot_hits,
         "G_hat": sol.G_hat_at_solution, "converged": sol.converged,
-        "reflected": sol.reflected,
+        "reflected": sol.reflected, "pre_levels": len(sol.pre_levels),
+        "pre_last_gamma": sol.pre_levels[-1] if sol.pre_levels else None,
     }, opt.get("json_out"))
     return 0 if sol.converged else 3
 

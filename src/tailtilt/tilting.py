@@ -30,8 +30,12 @@ solves the Gaussian first-order condition through the closed-form truncated
 normal moment, ``solve_theta_large_deviation`` minimizes ψ itself for the t
 family, and ``solve_hrt_theta`` is the one-parameter case of
 ``solve_theta_saa`` for the scalar hazard-rate twist, projected onto [0, 1).
-Every pilot solve runs the same pre-tilt, pilot stage and damped Newton; the
-pre-tilt's moment match is that damped Newton too, run on a one-row pilot.
+Every pilot solve runs the same pre-tilt, pilot stage and damped Newton. The
+pre-tilt is multilevel cross-entropy on a continuous score whose event is
+{score > 0} (Rubinstein 1997; de Boer, Kroese, Mannor & Rubinstein 2005):
+each level raises the score level γ towards 0 and refits the tilt by
+matching the weighted mean of the statistic over the rows above γ, a moment
+match that is the damped Newton too, run on a one-row pilot.
 """
 
 from __future__ import annotations
@@ -75,11 +79,15 @@ __all__ = [
 _KINDS = ("trunc-exp-product", "mvn-shift", "t-gamma-normal", "clayton-mo", "hazard-rate")
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# pilot solver: pilot draws, gradient-norm tolerance on log Ĝ, and the
-# crude pre-stage hits needed before its mean is trusted
+# pilot solver: pilot draws and gradient-norm tolerance on log Ĝ
 _N_PILOT = 20_000
 _NEWTON_TOL = 1e-6
-_PRE_MIN_HITS = 50
+# cross-entropy pre-tilt: rows per level, elite fraction ρ and level cap; the
+# chain scores map every row, so more rows per level cost the vines more
+# than the pilot they save
+_CE_ROWS = 2_000
+_CE_RHO = 0.1
+_CE_MAX_LEVELS = 40
 # closed-form Gaussian solver: residual tolerance and Newton step cap
 _TALLIS_TOL = 1e-10
 _TALLIS_MAX_ITERS = 100
@@ -176,7 +184,11 @@ class Pilot:
 
 @dataclass(frozen=True)
 class TiltSolution:
-    """Output of a tilt solver, with enough diagnostics to audit it."""
+    """Output of a tilt solver, with enough diagnostics to audit it.
+
+    ``pre_levels`` holds the score level γ of each cross-entropy pre-tilt
+    level, ending at 0; it is empty when no cross-entropy pre-tilt ran.
+    """
 
     theta_o: np.ndarray
     method: str
@@ -187,6 +199,7 @@ class TiltSolution:
     G_hat_at_solution: float | None
     converged: bool
     reflected: bool = False
+    pre_levels: tuple[float, ...] = ()
 
     def report(self) -> str:
         lines = [
@@ -199,6 +212,9 @@ class TiltSolution:
         ]
         if self.G_hat_at_solution is not None:
             lines.insert(2, f"G_hat: {self.G_hat_at_solution:.6e}")
+        if self.pre_levels:
+            lines.append(f"pre-tilt: levels={len(self.pre_levels)} "
+                         f"last_gamma={self.pre_levels[-1]:.6g}")
         if self.reflected:
             lines.append("reflected: true")
         return "\n".join(lines)
@@ -443,8 +459,12 @@ def first_order_gap(f: TiltFamily, theta, pilot: Pilot) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# coarse pre-tilt by moment matching: ψ(θ) − θ·m is log Ĝ of a one-row pilot
-# at stat = m, so the pilot's own damped Newton solves ∇ψ(θ) = m from θ = 0
+# cross-entropy pre-tilt. Level k draws rows at the current tilt, sets γ_k to
+# the upper-ρ quantile of the score (capped at 0) and refits the tilt to the
+# likelihood-weighted mean of the statistic over the rows scoring ≥ γ_k; the
+# level with γ = 0 refits on the event itself. For an exponential family that
+# refit is the moment match ∇ψ(θ) = m, and ψ(θ) − θ·m is log Ĝ of a one-row
+# pilot at stat = m, so the pilot's own damped Newton solves it from θ = 0.
 
 
 def _match_mean(f: TiltFamily, m: np.ndarray, max_iters: int) -> np.ndarray:
@@ -453,31 +473,39 @@ def _match_mean(f: TiltFamily, m: np.ndarray, max_iters: int) -> np.ndarray:
     return _newton_minimize_log_g(f, pilot, np.zeros(f.theta_dim), max_iters)[0]
 
 
-def _rejection_stat_mean(
-    f: TiltFamily, indicator, s: RngStream, n_pre: int
-) -> tuple[np.ndarray | None, int]:
-    """Event-conditional mean of the statistic from crude draws.
+def _cross_entropy_pre_tilt(
+    f: TiltFamily, score, s: RngStream, max_iters: int
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Cross-entropy levels from θ = 0 up to the event {score > 0}.
 
-    Draws in chunks at the zero tilt, escalating to ten times ``n_pre``
-    before giving up. Returns (mean, hits) with mean None when fewer than
-    50 draws landed in the event.
+    Returns the tilt refitted at the level γ = 0 and the γ of every level.
+    Rows whose score is NaN count as misses. Raises
+    :class:`DegeneratePilotError` when γ is no higher than two levels back,
+    or no row has a score, or the level cap is reached below 0.
     """
-    zero = np.zeros(f.theta_dim)
-    total = 0
-    hits = 0
-    acc = np.zeros(f.theta_dim)
-    budget = 10 * n_pre
-    chunk = 100_000
-    while total < n_pre or (hits < _PRE_MIN_HITS and total < budget):
-        m = min(chunk, budget - total)
-        ts = sample_tilted(f, s, zero, m)
-        keep = np.asarray(indicator(ts), dtype=bool)
-        hits += int(np.count_nonzero(keep))
-        acc += ts.stat[keep].sum(axis=0)
-        total += m
-    if hits < _PRE_MIN_HITS:
-        return None, hits
-    return acc / hits, hits
+    theta = np.zeros(f.theta_dim)
+    gammas: list[float] = []
+    for level in range(1, _CE_MAX_LEVELS + 1):
+        ts = sample_tilted(f, s, theta, _CE_ROWS)
+        sc = np.asarray(score(ts), dtype=np.float64)
+        if sc.shape != (_CE_ROWS,):
+            raise ShapeError(f"score returned shape {sc.shape} for {_CE_ROWS} draws")
+        gamma = min(float(np.nanquantile(sc, 1.0 - _CE_RHO)), 0.0)
+        if np.isnan(gamma) or (level > 2 and gamma <= gammas[-2]):
+            raise DegeneratePilotError(
+                f"cross-entropy pre-tilt stalled at level {level}: gamma {gamma:.6g} "
+                f"after {', '.join(f'{g:.6g}' for g in gammas[-2:]) or 'none'}"
+            )
+        gammas.append(gamma)
+        elite = sc >= gamma
+        m = _softmax(ts.log_lr[elite]) @ ts.stat[elite]
+        theta = _match_mean(f, m, max_iters)
+        if gamma == 0.0:
+            return theta, tuple(gammas)
+    raise DegeneratePilotError(
+        f"cross-entropy pre-tilt reached its cap of {_CE_MAX_LEVELS} levels "
+        f"at level {_CE_MAX_LEVELS} with gamma {gammas[-1]:.6g}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -549,40 +577,38 @@ def solve_theta_saa(
     indicator,
     s: RngStream,
     *,
+    score=None,
+    pre_theta=None,
     pilot_min_hits: int = 200,
     max_iters: int = 100,
-    n_pre: int = 200_000,
-    pre_theta=None,
 ) -> TiltSolution:
     """Minimize the pilot estimate of the second-moment proxy G.
 
-    The pilot proposal comes from a coarse pre-tilt: the tilt whose
-    statistic mean matches the event-conditional mean estimated by crude
-    rejection, found by the same damped Newton run on a one-row pilot.
-    ``pre_theta`` overrides that stage; when rejection cannot
-    reach 50 hits the solver falls back to the large-deviation tilt for the
-    t family, and otherwise raises. The pilot draws 20,000 rows at the
-    pre-tilt, topped up once with three times as many when short of
-    ``pilot_min_hits`` hits. Damped Newton then descends log Ĝ from the
-    pre-tilt until the gradient norm of log Ĝ, a tolerance relative to Ĝ,
-    is at most 1e-6.
+    The pilot proposal comes from a cross-entropy pre-tilt on ``score``, a
+    function of a :class:`TiltedSample` giving one float per row, positive
+    exactly where ``indicator`` is true. Starting at θ = 0, each level draws
+    2,000 rows from ``s``, sets γ to the upper 0.1 quantile of the score,
+    capped at 0, and refits the tilt to the likelihood-weighted mean of the
+    statistic over the rows scoring ≥ γ, by the same damped Newton run on a
+    one-row pilot; the levels stop at γ = 0. A γ no higher than two levels
+    back, or 40 levels, raises :class:`DegeneratePilotError` naming the
+    level. ``pre_theta`` replaces that stage, and one of the two is
+    required. The pilot draws 20,000 rows at the pre-tilt, topped up once
+    with three times as many when short of ``pilot_min_hits`` hits. Damped
+    Newton then descends log Ĝ from the pre-tilt until the gradient norm of
+    log Ĝ, a tolerance relative to Ĝ, is at most 1e-6.
 
     ``indicator`` receives a :class:`TiltedSample` and must return one
     boolean per row; it should already describe an upper-corner event, with
     any reflection applied, and recorded on the solution, by the caller.
     """
     if pre_theta is not None:
-        theta_hat = _as_theta(f, pre_theta)
+        theta_hat, levels = _as_theta(f, pre_theta), ()
+    elif score is not None:
+        theta_hat, levels = _cross_entropy_pre_tilt(f, score, s, max_iters)
     else:
-        mean, hits_pre = _rejection_stat_mean(f, indicator, s, n_pre)
-        if mean is not None:
-            theta_hat = _match_mean(f, mean, max_iters)
-        elif f.kind == "t-gamma-normal":
-            theta_hat = solve_theta_large_deviation(f).theta_o
-        else:
-            raise DegeneratePilotError(
-                f"crude pre-stage saw {hits_pre} event hits and no pre_theta was given"
-            )
+        raise ParameterError("the pilot solver needs a score for its cross-entropy "
+                             "pre-tilt, or a pre_theta")
 
     pilot = draw_pilot(f, indicator, s, _N_PILOT, theta_hat)
     if pilot.hits < pilot_min_hits:
@@ -609,6 +635,7 @@ def solve_theta_saa(
         pilot_hits=pilot.hits,
         G_hat_at_solution=g_val,
         converged=converged,
+        pre_levels=levels,
     )
 
 
@@ -616,7 +643,9 @@ def solve_hrt_theta(f: TiltFamily, indicator, s: RngStream, **kw) -> TiltSolutio
     """Minimize the pilot second-moment proxy over the scalar twist in [0, 1).
 
     The hazard twist is the one-parameter case of :func:`solve_theta_saa`,
-    which does the work with ``kw``; the solution is labelled ``"hrt"``. Ĝ
+    which does the work with ``kw``, so it needs the ``score`` of its
+    cross-entropy pre-tilt or a ``pre_theta``; the cross-entropy levels may
+    pass through negative twists. The solution is labelled ``"hrt"``. Ĝ
     is convex, so when Newton's minimum lies below 0 the minimum over
     [0, 1) is at 0 and the twist is projected there. ``G_hat_at_solution``
     and ``residual_norm`` are then still those at Newton's minimum, not

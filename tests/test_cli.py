@@ -92,7 +92,10 @@ def test_estimate_json_and_csv(capsys, tmp_path):
                              "--csv", str(out_csv))
     assert code == 0
     assert payload["theta"] == [1.58, 1.58]
-    assert abs(payload["u_hat"] - 1e-2) < 4 * payload["sd"] / np.sqrt(200)
+    assert payload["se"] == payload["sd"] / np.sqrt(200)
+    assert abs(payload["u_hat"] - 1e-2) < 4 * payload["se"]
+    # the tilt was given, so nothing was solved
+    assert payload["solve_seconds"] == 0.0
     with out_csv.open() as fh:
         rows = list(csv.DictReader(fh))
     assert tuple(rows[0]) == CSV_COLUMNS
@@ -129,6 +132,7 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert code == 0
     assert payload["reps"] == 60
     assert payload["seed"] == 2
+    assert payload["solve_seconds"] == 0.0
 
 
 @pytest.mark.parametrize("keys", [
@@ -155,6 +159,7 @@ def test_solve_theta_clayton_frailty(capsys):
     assert payload["converged"]
     assert abs(payload["theta"][0] - 0.848) < 0.05
     assert payload["solver"] == "saa"
+    assert payload["pre_levels"] >= 2 and payload["pre_last_gamma"] == 0.0
 
 
 def test_solve_theta_gaussian_closed_form(capsys):
@@ -164,22 +169,39 @@ def test_solve_theta_gaussian_closed_form(capsys):
     assert code == 0
     assert payload["solver"] == "tallis-newton"
     assert np.allclose(payload["theta"], [1.58, 1.58], atol=0.05)
+    assert payload["pre_levels"] == 0 and payload["pre_last_gamma"] is None
 
 
 def test_hazard_twist_projected_onto_zero(capsys):
-    # Ĝ's unconstrained minimum is slightly negative on this near-sure corner
+    # Ĝ's minimum on this near-sure corner lies within pilot noise of 0; the
+    # projection itself is tested on solve_hrt_theta
     code, payload = run_json(capsys, "estimate", "--copula", "gaussian", "--rho", "0",
                              "--p", "-4", "--method", "is-t3", "--n", "200",
                              "--reps", "20", "--seed", "311")
     assert code == 0
-    assert payload["theta"] == [0.0]
+    assert 0.0 <= payload["theta"][0] < 0.01
+    assert payload["solve_seconds"] > 0.0
+    assert payload["seconds"] > 0.0
 
 
 def test_solver_failure_exit_code(capsys):
-    code, _ = run(capsys, "solve-theta", "--copula", "gaussian", "--rho", "0",
-                  "--margins", "std-normal", "--p", "5.5",
-                  "--method", "is-t2", "--solver", "saa")
+    # one scalar hazard twist cannot climb to this 4-d vine corner: the
+    # cross-entropy levels stall
+    code, out = run(capsys, "solve-theta", "--copula", "4d-vine", "--p", "0.999",
+                    "--method", "is-t3")
     assert code == 3
+    assert out == ""
+
+
+def test_solve_theta_pilot_solver_at_a_deep_corner(capsys):
+    # Φ(-5.5)² ≈ 3.6e-16, far below what crude draws at the zero tilt can see
+    code, payload = run_json(capsys, "solve-theta", "--copula", "gaussian", "--rho", "0",
+                             "--margins", "std-normal", "--p", "5.5",
+                             "--method", "is-t2", "--solver", "saa")
+    assert code == 0
+    assert payload["converged"] and payload["solver"] == "saa"
+    assert payload["pre_last_gamma"] == 0.0
+    assert np.allclose(payload["theta"], 5.6, atol=0.1)
 
 
 def test_estimate_threshold_outside_support(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, stdtr
 
-from tailtilt.copulas import CopulaSpec, CornerEvent, vine_preset
+from tailtilt.copulas import CopulaSpec, CornerEvent, event_uniform_thresholds, vine_preset
 from tailtilt.errors import ConfigError, DomainError, ParameterError, ShapeError
 from tailtilt.estimators import (
     _FIRST_COLUMN_SLACK,
@@ -17,9 +17,10 @@ from tailtilt.estimators import (
     solve_event_theta,
     wnrv,
 )
-from tailtilt.estimators import _chain_hits, _corner_hits, _rinv
+from tailtilt.estimators import _chain_hits, _corner_hits, _plan_for, _rinv, _row_min
 from tailtilt.oracle import clayton_corner_prob, rect_prob_t
-from tailtilt.randkit import MarginSpec
+from tailtilt.randkit import MarginSpec, make_stream
+from tailtilt.tilting import sample_tilted
 
 NORMAL = MarginSpec("std-normal")
 T2_MARGIN = MarginSpec("student-t", df=2.0)
@@ -291,6 +292,7 @@ def test_replicate_thread_determinism():
     b = replicate(cfg, threads=8)
     assert a.u_hat == b.u_hat
     assert a.sd == b.sd
+    assert a.solve_seconds == 0.0
 
 
 def test_replicate_single_run_flagged():
@@ -299,6 +301,7 @@ def test_replicate_single_run_flagged():
     assert r.sd_within_run
     assert r.sd > 0.0
     assert r.reps == 1
+    assert r.se == r.sd
 
 
 def test_replicate_correlated_gaussian_example():
@@ -318,7 +321,9 @@ def test_replicate_solves_when_theta_missing():
     cfg = ExperimentConfig(gauss_model(), upper(1.282), "is-t2", n=500, M=300, seed=515)
     r = replicate(cfg)
     truth = float(ndtr(-1.282)) ** 2
-    assert abs(r.u_hat - truth) < 4.0 * r.sd / np.sqrt(r.reps)
+    assert r.se == r.sd / np.sqrt(r.reps)
+    assert abs(r.u_hat - truth) < 4.0 * r.se
+    assert r.solve_seconds > 0.0
 
 
 def test_vine_estimates_agree():
@@ -445,3 +450,46 @@ def test_first_column_of_every_rosenblatt_inverse_is_known_in_advance():
             assert np.abs(col - first).max() <= 1e-14, name
         else:
             assert np.array_equal(col, first), name
+
+
+def test_row_min_is_the_axis_min():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 4):
+        a = rng.normal(size=(300, d))
+        a[::7, d - 1] = np.nan
+        assert np.array_equal(_row_min(a), a.min(axis=1), equal_nan=True)
+
+
+# (model, method, lower corner on the margin scale, upper corner) for each of
+# the five plans; the frailty tilt covers upper corners only
+PLAN_CASES = (
+    (gauss_model(0.5), "is-t1", -0.8, 0.8),
+    (CHAIN_MODELS["vine3"], "is-t1", 0.2, 0.8),
+    (gauss_model(0.5), "is-t3", -0.8, 0.8),
+    (CHAIN_MODELS["vine3"], "is-t3", 0.2, 0.8),
+    (gauss_model(0.5), "is-t2", -0.8, 0.8),
+    (CopulaSpec("student-t", (NORMAL, NORMAL), sigma=corr(0.3), nu=5.0), "is-t2", -0.8, 0.8),
+    (CLAYTON_MODEL, "is-t2", None, 0.8),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lower=st.booleans(), tilt=st.floats(-0.5, 0.9))
+def test_every_indicator_is_its_score_test_property(seed, lower, tilt):
+    for model, method, lo, hi in PLAN_CASES:
+        if lower and lo is None:
+            continue
+        event = CornerEvent("lower" if lower else "upper", ((lo if lower else hi),) * model.d)
+        plan = _plan_for(ExperimentConfig(model, event, method))
+        theta = np.full(plan.family.theta_dim, tilt)
+        if plan.family.kind == "t-gamma-normal":
+            theta *= 0.3  # inside the t family's ellipsoid
+        ts = sample_tilted(plan.family, make_stream(seed, 0), theta, 400)
+        hits = plan.score(ts) > 0.0
+        assert np.array_equal(plan.indicator(ts), hits), (method, event)
+        if method in ("is-t1", "is-t3"):
+            # the chain indicator and the full map, with is-t3's reflection
+            v = 1.0 - ts.x if plan.reflected else ts.x
+            u0 = event_uniform_thresholds(model, event)
+            assert np.array_equal(_chain_hits(model, v, u0, event.direction), hits)
+            assert np.array_equal(_corner_hits(_rinv(model, v), u0, event.direction), hits)

@@ -71,6 +71,22 @@ def all_above(threshold: float):
     return indicator
 
 
+def gap_above(threshold: float):
+    """The score of ``all_above(threshold)``: positive exactly on its hits."""
+    def score(ts):
+        return (ts.x - threshold).min(axis=1)
+
+    return score
+
+
+def never(ts):
+    return np.zeros(ts.x.shape[0], dtype=bool)
+
+
+def never_score(ts):
+    return np.full(ts.x.shape[0], -1.0)
+
+
 def interior_points(f: TiltFamily, rng: np.random.Generator, count: int = 20) -> list:
     """Random tilt vectors safely inside the family's domain."""
     pts = []
@@ -412,7 +428,6 @@ def test_pilot_at_zero_tilt_counts_hits():
 
 def test_degenerate_pilot_rejected():
     f = te_family()
-    never = lambda ts: np.zeros(ts.x.shape[0], dtype=bool)
     pilot = draw_pilot(f, never, make_stream(12, 361), 500, (0.0, 0.0))
     with pytest.raises(DegeneratePilotError):
         G_hat(f, (0.0, 0.0), pilot)
@@ -446,7 +461,7 @@ def test_proxy_midpoint_convexity():
 
 def test_solve_saa_gaussian_corner():
     f = mvn_family(0.0)
-    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 310))
+    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 310), score=gap_above(1.282))
     assert sol.converged and sol.method == "saa"
     assert np.all(np.abs(sol.theta_o - 1.58) < 0.1)
     assert sol.residual_norm <= 1e-6 * sol.G_hat_at_solution
@@ -457,14 +472,16 @@ def test_solve_saa_gaussian_corner():
 
 def test_solve_saa_trunc_exp_corner():
     u0 = float(ndtr(1.282))
-    sol = solve_theta_saa(te_family(), all_above(u0), make_stream(900, 311))
+    sol = solve_theta_saa(te_family(), all_above(u0), make_stream(900, 311),
+                          score=gap_above(u0))
     assert sol.converged
     assert np.all(np.abs(sol.theta_o / 15.95 - 1.0) < 0.1)
 
 
 def test_solve_saa_clayton_corner():
     u0 = float(ndtr(2.130))
-    sol = solve_theta_saa(clayton_family(3.0), all_above(u0), make_stream(900, 324))
+    sol = solve_theta_saa(clayton_family(3.0), all_above(u0), make_stream(900, 324),
+                          score=gap_above(u0))
     assert sol.converged
     assert abs(sol.theta_o[0] - 0.848) < 0.05
     assert np.all(np.abs(sol.theta_o[1:] / 14.58 - 1.0) < 0.1)
@@ -474,14 +491,14 @@ def test_solve_saa_t_corner():
     a = 3.1419202680056277  # matching a tail event of probability 1e-3
     f = t_family(a)
     ind = lambda ts: np.all(ts.stat > 0.0, axis=1)
-    sol = solve_theta_saa(f, ind, make_stream(900, 316))
+    sol = solve_theta_saa(f, ind, make_stream(900, 316), score=lambda ts: ts.stat.min(axis=1))
     assert sol.converged
     assert np.all(np.abs(sol.theta_o / 3.68 - 1.0) < 0.1)
 
 
 def test_first_order_condition_on_fresh_pilot():
     f = mvn_family(0.0)
-    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 310))
+    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 310), score=gap_above(1.282))
     pilot = draw_pilot(f, all_above(1.282), make_stream(900, 313), 40_000, sol.theta_o)
     gap, se = first_order_gap(f, sol.theta_o, pilot)
     assert np.all(np.abs(gap) <= 3.0 * se)
@@ -489,15 +506,38 @@ def test_first_order_condition_on_fresh_pilot():
 
 def test_solve_saa_flags_non_convergence():
     f = mvn_family(0.0)
-    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 310), max_iters=1)
+    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 310), score=gap_above(1.282),
+                          max_iters=1)
     assert not sol.converged
     assert sol.iterations == 1
 
 
 def test_solve_saa_degenerate_event():
-    never = lambda ts: np.zeros(ts.x.shape[0], dtype=bool)
-    with pytest.raises(DegeneratePilotError):
-        solve_theta_saa(mvn_family(0.0), never, make_stream(900, 317), n_pre=2_000)
+    # a score that never turns positive holds γ at -1, so the third level stalls
+    with pytest.raises(DegeneratePilotError, match="level 3"):
+        solve_theta_saa(mvn_family(0.0), never, make_stream(900, 317), score=never_score)
+
+
+def test_solve_saa_needs_a_score_or_a_pre_tilt():
+    with pytest.raises(ParameterError):
+        solve_theta_saa(mvn_family(0.0), all_above(1.282), make_stream(900, 317))
+
+
+def test_cross_entropy_levels_end_at_the_event():
+    f = mvn_family(0.0)
+    a = 3.0902323061678132  # Φ(-a) = 1e-3
+    sol = solve_theta_saa(f, lambda ts: ts.x[:, 0] > a, make_stream(900, 320),
+                          score=lambda ts: ts.x[:, 0] - a)
+    assert sol.converged
+    assert sol.pre_levels[-1] == 0.0
+    assert len(sol.pre_levels) >= 2 and all(g < 0.0 for g in sol.pre_levels[:-1])
+    assert f"pre-tilt: levels={len(sol.pre_levels)} last_gamma=0" in sol.report()
+    # a given proposal, the closed-form and the large-deviation solvers run no levels
+    given = solve_theta_saa(f, lambda ts: ts.x[:, 0] > a, make_stream(900, 320),
+                            pre_theta=sol.theta_o)
+    assert given.pre_levels == () and "pre-tilt" not in given.report()
+    assert solve_theta_gaussian_tallis(corr(0.0), [1.282, 1.282]).pre_levels == ()
+    assert solve_theta_large_deviation(t_family(3.0)).pre_levels == ()
 
 
 def test_solve_saa_records_reflection():
@@ -513,6 +553,7 @@ def test_solve_saa_accepts_explicit_proposal():
     f = mvn_family(0.0)
     sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 318),
                           pre_theta=np.array([1.5, 1.5]))
+    assert sol.pre_levels == ()
     assert sol.converged
     assert np.all(np.abs(sol.theta_o - 1.58) < 0.1)
 
@@ -614,7 +655,8 @@ def test_tallis_solver_common_event_needs_no_tilt():
 
 def test_tallis_agrees_with_saa():
     det = solve_theta_gaussian_tallis(corr(0.0), [1.282, 1.282])
-    saa = solve_theta_saa(mvn_family(0.0), all_above(1.282), make_stream(900, 310))
+    saa = solve_theta_saa(mvn_family(0.0), all_above(1.282), make_stream(900, 310),
+                          score=gap_above(1.282))
     assert np.all(np.abs(saa.theta_o / det.theta_o - 1.0) < 0.05)
 
 
@@ -666,7 +708,8 @@ def test_large_deviation_validation():
 
 def test_hrt_gaussian_corner():
     u0 = float(ndtr(1.857))
-    sol = solve_hrt_theta(hazard_family(), all_above(u0), make_stream(900, 314))
+    sol = solve_hrt_theta(hazard_family(), all_above(u0), make_stream(900, 314),
+                          score=gap_above(u0))
     assert isinstance(sol.theta_o[0], float) and sol.theta_o.shape == (1,)
     assert abs(sol.theta_o[0] - 0.71) < 0.05
     assert sol.converged and sol.pilot_hits >= 200
@@ -690,23 +733,35 @@ def test_hrt_t_copula_corner():
     def ind(ts):
         return np.all(rosenblatt_inverse(c, ts.x) > u0, axis=1)
 
-    sol = solve_hrt_theta(hazard_family(), ind, make_stream(900, 330))
+    def score(ts):
+        return (rosenblatt_inverse(c, ts.x) - u0).min(axis=1)
+
+    sol = solve_hrt_theta(hazard_family(), ind, make_stream(900, 330), score=score)
     assert abs(sol.theta_o[0] - 0.73) < 0.05
 
 
 def test_hrt_whole_space_needs_no_twist():
-    # Ĝ's unconstrained minimum sits near 0: above it on streams 308 and
-    # 315, below it on 311 and 312, where the solver projects it onto 0
+    # Ĝ's unconstrained minimum sits near 0, on either side of it by pilot
+    # noise; below 0 the solver projects it onto 0
     everything = lambda ts: np.ones(ts.x.shape[0], dtype=bool)
     for stream_id in (308, 311, 312, 315):
-        sol = solve_hrt_theta(hazard_family(), everything, make_stream(900, stream_id))
+        sol = solve_hrt_theta(hazard_family(), everything, make_stream(900, stream_id),
+                              score=lambda ts: np.ones(ts.x.shape[0]))
         assert 0.0 <= sol.theta_o[0] < 0.05, stream_id
         assert sol.converged and sol.method == "hrt"
+
+
+def test_hrt_projects_a_negative_minimum_onto_zero():
+    # {v1 < 0.5} favours a negative twist: Ĝ's minimum lies well below 0
+    first_low = lambda ts: ts.x[:, 0] < 0.5
+    sol = solve_hrt_theta(hazard_family(), first_low, make_stream(900, 321),
+                          score=lambda ts: 0.5 - ts.x[:, 0])
+    assert sol.theta_o[0] == 0.0
+    assert sol.converged and sol.method == "hrt"
 
 
 def test_hrt_validation():
     with pytest.raises(ParameterError):
         solve_hrt_theta(te_family(), all_above(0.9), make_stream(900, 319))
-    never = lambda ts: np.zeros(ts.x.shape[0], dtype=bool)
-    with pytest.raises(DegeneratePilotError):
-        solve_hrt_theta(hazard_family(), never, make_stream(900, 319), n_pre=2_000)
+    with pytest.raises(DegeneratePilotError, match="level 3"):
+        solve_hrt_theta(hazard_family(), never, make_stream(900, 319), score=never_score)
