@@ -26,6 +26,7 @@ from ..randkit import (
     RngStream,
     _check_clayton_delta,
     _check_sigma,
+    _check_size,
     _cholesky,
     margin_cdf,
     margin_quantile,
@@ -241,8 +242,7 @@ def sample_copula_uniforms(
     block); ``cim`` draws d uniforms per vector and applies the inverse
     Rosenblatt map.
     """
-    if n < 1:
-        raise ParameterError(f"sample size must be at least 1, got {n}")
+    _check_size(n)
     if route == "cim":
         v = s.uniforms(n * c.d).reshape(n, c.d)
         return rosenblatt_inverse(c, v)

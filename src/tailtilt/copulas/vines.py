@@ -1,13 +1,19 @@
 """Regular vine copulas: edge lists, presets, and Rosenblatt transforms.
 
-A vine is given as an explicit edge list, one edge per tree level, each edge
-carrying its conditioned pair, conditioning set, and pair copula. The
-transforms below implement the conditional-inverse chains for the supported
-tree sequences in dimensions 2, 3, and 4 (a single pair; the three-variable
-sequence 1-2, 1-3, 2-3|1; and the four-variable sequence that adds 2-4,
-1-4|2, 3-4|1,2). Edge lists are validated against those shapes at
-construction, so the chain evaluators can hard-code their h-function
-compositions.
+A vine is given as an explicit edge list, one edge per pair copula, each edge
+carrying its conditioned pair, conditioning set, and pair copula. Any regular
+vine can be labelled so that it obeys the joining rule: variable k joins
+variables 1..k-1 through k-1 edges (k, m_j | D_j), j = 1..k-1, with D_1 empty
+and D_(j+1) = D_j + {m_j}. Edge lists are checked against that rule, and the
+proximity condition, when the vine is built.
+
+Both transforms run on one memoised recursion (Dissmann, Brechmann, Czado &
+Kurowicka 2013; Czado 2019, ch. 6): F(a | D) is h(F(a | D-b) given
+F(b | D-b)) under the edge whose constraint set is {a} + D, b being that
+edge's other conditioned variable. The forward map is v_k = F(k | 1..k-1);
+the inverse undoes variable k's edges from its last tree back with h_inv.
+Both loop over k, so the first k columns of either map need only the first k
+input columns.
 
 Edge lists can also be read from text: one edge per line, as in
 
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError, StructureError
-from ..randkit import MarginSpec, RngStream
+from ..randkit import MarginSpec, RngStream, _check_size
 from .pairs import PairCopula, h_func, h_inv
 
 __all__ = [
@@ -53,22 +59,13 @@ class VineEdge:
         i, j = self.conditioned
         object.__setattr__(self, "conditioned", (min(i, j), max(i, j)))
         object.__setattr__(self, "conditioning", tuple(sorted(self.conditioning)))
+        if len(self.constraint) != 2 + len(self.conditioning):
+            raise StructureError(f"edge {i},{j} | {self.conditioning} repeats a variable")
 
-
-# tree sequences the chain evaluators understand, keyed by dimension:
-# each entry is the set of (conditioned pair, conditioning set) signatures
-_SUPPORTED = {
-    2: {((1, 2), ())},
-    3: {((1, 2), ()), ((1, 3), ()), ((2, 3), (1,))},
-    4: {
-        ((1, 2), ()),
-        ((1, 3), ()),
-        ((2, 4), ()),
-        ((2, 3), (1,)),
-        ((1, 4), (2,)),
-        ((3, 4), (1, 2)),
-    },
-}
+    @property
+    def constraint(self) -> frozenset:
+        """The conditioned pair and the conditioning set, together."""
+        return frozenset(self.conditioned + self.conditioning)
 
 
 @dataclass(frozen=True)
@@ -77,6 +74,9 @@ class RVineSpec:
 
     edges: tuple[VineEdge, ...]
     margins: tuple[MarginSpec, ...]
+    # the edges by constraint set, and each variable's joining steps (pair, m_j, D_j)
+    _by_set: dict = field(init=False, repr=False, compare=False)
+    _joins: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
@@ -86,15 +86,36 @@ class RVineSpec:
             raise StructureError(
                 f"a {d}-dimensional vine needs {d * (d - 1) // 2} edges, got {len(self.edges)}"
             )
-        labels = {v for e in self.edges for v in e.conditioned + e.conditioning}
+        labels = {v for e in self.edges for v in e.constraint}
         if labels and (min(labels) < 1 or max(labels) > d):
             raise StructureError(f"edge variable labels {sorted(labels)} exceed dimension {d}")
-        signatures = {(e.conditioned, e.conditioning) for e in self.edges}
-        if d not in _SUPPORTED or signatures != _SUPPORTED[d]:
-            raise StructureError(
-                "unsupported vine tree sequence; supported structures are the "
-                "built-in 2-, 3-, and 4-dimensional chains"
-            )
+        by_set = {e.constraint: e for e in self.edges}
+        if len(by_set) < len(self.edges):
+            raise StructureError("two edges share a constraint set")
+        joins = []
+        for k in range(1, d + 1):
+            group = sorted((e for e in self.edges if max(e.constraint) == k),
+                           key=lambda e: len(e.conditioning))
+            steps, D = [], frozenset()
+            for e in group:
+                m = sum(e.conditioned) - k
+                if k not in e.conditioned or set(e.conditioning) != D:
+                    break
+                parent = by_set.get(D | {m})
+                if D and (parent is None or m not in parent.conditioned):
+                    raise StructureError(
+                        f"edge {e.conditioned} | {e.conditioning} breaks the proximity "
+                        f"condition: no edge conditions {m} on {sorted(D)}")
+                steps.append((e.pair, m, D))
+                D = D | {m}
+            if len(steps) != k - 1:
+                raise StructureError(
+                    f"variable {k} does not join variables 1..{k - 1} through edges "
+                    "(k, m_j | D_j) with D_1 empty and D_(j+1) = D_j + {m_j}; the edges "
+                    "are not a regular vine, or their labels are not in a joining order")
+            joins.append(tuple(steps))
+        object.__setattr__(self, "_by_set", by_set)
+        object.__setattr__(self, "_joins", tuple(joins))
 
     @property
     def d(self) -> int:
@@ -200,68 +221,50 @@ def _as_matrix(rv: RVineSpec, arr, name: str) -> np.ndarray:
     return arr
 
 
+def _conditionals(rv: RVineSpec, x: np.ndarray):
+    """F(a | D) on the rows of copula-scale x, memoised for one map call; it
+    reads only the columns of a and D."""
+    memo = {}
+
+    def F(a: int, D: frozenset) -> np.ndarray:
+        if not D:
+            return x[:, a - 1]
+        if (a, D) not in memo:
+            e = rv._by_set[D | {a}]
+            b = sum(e.conditioned) - a
+            rest = D - {b}
+            memo[a, D] = h_func(e.pair, F(a, rest), F(b, rest))
+        return memo[a, D]
+
+    return F
+
+
 def vine_rosenblatt_forward(rv: RVineSpec, x) -> np.ndarray:
-    """Map copula-scale X to i.i.d. uniforms V along the chain; k columns give V's first k."""
+    """Map copula-scale X to i.i.d. uniforms V, v_k = F(x_k | x_1..x_(k-1));
+    k columns give V's first k."""
     x = _as_matrix(rv, x, "x")
-    d = x.shape[1]
+    F = _conditionals(rv, x)
     v = np.empty_like(x)
-    v[:, 0] = x[:, 0]
-    if d == 1:
-        return v
-    c12 = rv.pair((1, 2))
-    t2_1 = h_func(c12, x[:, 1], x[:, 0])
-    v[:, 1] = t2_1
-    if d == 2:
-        return v
-    c13 = rv.pair((1, 3))
-    c23_1 = rv.pair((2, 3), (1,))
-    t3_1 = h_func(c13, x[:, 2], x[:, 0])
-    v[:, 2] = h_func(c23_1, t3_1, t2_1)
-    if d == 3:
-        return v
-    c24 = rv.pair((2, 4))
-    c14_2 = rv.pair((1, 4), (2,))
-    c34_12 = rv.pair((3, 4), (1, 2))
-    t4_2 = h_func(c24, x[:, 3], x[:, 1])
-    t1_2 = h_func(c12, x[:, 0], x[:, 1])
-    t4_12 = h_func(c14_2, t4_2, t1_2)
-    v[:, 3] = h_func(c34_12, t4_12, v[:, 2])
+    for k in range(1, x.shape[1] + 1):
+        v[:, k - 1] = F(k, frozenset(range(1, k)))
     return v
 
 
 def vine_rosenblatt_inverse(rv: RVineSpec, v) -> np.ndarray:
-    """Inverse of the forward chain: uniforms V to copula-scale X; k columns give X's first k."""
+    """Inverse of the forward map: uniforms V to copula-scale X; k columns give X's first k."""
     v = _as_matrix(rv, v, "v")
-    d = v.shape[1]
     x = np.empty_like(v)
-    x[:, 0] = v[:, 0]
-    if d == 1:
-        return x
-    c12 = rv.pair((1, 2))
-    x[:, 1] = h_inv(c12, v[:, 1], x[:, 0])
-    if d == 2:
-        return x
-    c13 = rv.pair((1, 3))
-    c23_1 = rv.pair((2, 3), (1,))
-    t2_1 = h_func(c12, x[:, 1], x[:, 0])
-    t3_1 = h_inv(c23_1, v[:, 2], t2_1)
-    x[:, 2] = h_inv(c13, t3_1, x[:, 0])
-    if d == 3:
-        return x
-    c24 = rv.pair((2, 4))
-    c14_2 = rv.pair((1, 4), (2,))
-    c34_12 = rv.pair((3, 4), (1, 2))
-    t3_21 = h_func(c23_1, h_func(c13, x[:, 2], x[:, 0]), t2_1)
-    t1_2 = h_func(c12, x[:, 0], x[:, 1])
-    a = h_inv(c34_12, v[:, 3], t3_21)
-    b = h_inv(c14_2, a, t1_2)
-    x[:, 3] = h_inv(c24, b, x[:, 1])
+    F = _conditionals(rv, x)
+    for k in range(1, v.shape[1] + 1):
+        t = v[:, k - 1]
+        for pair, m, D in reversed(rv._joins[k - 1]):
+            t = h_inv(pair, t, F(m, D))
+        x[:, k - 1] = t
     return x
 
 
 def sample_vine_uniforms(s: RngStream, rv: RVineSpec, n: int) -> np.ndarray:
     """Draw n copula-scale vectors from the vine by the conditional inverse map."""
-    if n < 1:
-        raise ParameterError(f"sample size must be at least 1, got {n}")
+    _check_size(n)
     v = s.uniforms(n * rv.d).reshape(n, rv.d)
     return vine_rosenblatt_inverse(rv, v)

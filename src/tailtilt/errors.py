@@ -40,7 +40,7 @@ class FactorizationError(TailTiltError, ValueError):
 
 
 class StructureError(TailTiltError, ValueError):
-    """A vine edge list does not describe a supported tree sequence."""
+    """A vine edge list is not a regular vine labelled in a joining order."""
 
 
 class DegeneratePilotError(TailTiltError, RuntimeError):

@@ -186,6 +186,8 @@ def vine_corner_prob(rv, p: float) -> float:
     """P(U_i > p for all i) under a vine copula, by quadrature along its chain."""
     if not 0.0 < p < 1.0:
         raise ParameterError(f"threshold must lie in (0,1), got {p}")
+    if rv.d not in _M_MAX:
+        raise ParameterError(f"vine corner quadrature supports d in 2..4, got d={rv.d}")
     m, m_max = 8, _M_MAX[rv.d]
     prev = None
     while m <= m_max:

@@ -205,6 +205,12 @@ def _cholesky(sigma: np.ndarray) -> np.ndarray:
     return L
 
 
+def _check_size(n) -> None:
+    """Reject a sample size that is not an integer of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError(f"sample size must be an integer of at least 1, got {n!r}")
+
+
 def _check_sigma(sigma, d: int, *, unit_diag: bool) -> np.ndarray:
     """``sigma`` as a float array, checked to be a symmetric positive definite
     d×d matrix, and a correlation matrix when ``unit_diag``."""

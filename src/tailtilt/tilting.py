@@ -54,8 +54,8 @@ from .errors import (
     SolverError,
 )
 from .oracle import rect_prob_gaussian
-from .randkit import (RngStream, _check_clayton_delta, _check_sigma, _trunc_exp_inverse_cdf,
-                      sample_gamma, sample_mvn)
+from .randkit import (RngStream, _check_clayton_delta, _check_sigma, _check_size,
+                      _trunc_exp_inverse_cdf, sample_gamma, sample_mvn)
 
 __all__ = [
     "TiltFamily",
@@ -350,8 +350,7 @@ def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSampl
     log likelihood ratios equal to zero.
     """
     th = _as_theta(f, theta)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"sample size must be an integer of at least 1, got {n!r}")
+    _check_size(n)
 
     if f.kind == "trunc-exp-product":
         v = _trunc_exp_block(s, th, n)

@@ -68,9 +68,9 @@ def test_t_copula_corner(u):
 
 def test_three_dim_vine_corner():
     rv = vine_preset("3d")
-    ref = vine_corner_prob(rv, 0.9999)  # about 1.5e-6
-    z, _ = z_at(rv, CornerEvent("upper", (0.9999,) * 3), "is-t1", ref)
-    assert abs(z) <= 4.0
+    for p in (0.9999, 0.99999):  # about 1.5e-6 and 6.4e-8
+        z, _ = z_at(rv, CornerEvent("upper", (p,) * 3), "is-t1", vine_corner_prob(rv, p))
+        assert abs(z) <= 4.0, p
 
 
 def test_hazard_twist_stalls_on_the_deep_four_dim_vine():

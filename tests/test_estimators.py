@@ -17,7 +17,7 @@ from tailtilt.estimators import (
     solve_event_theta,
     wnrv,
 )
-from tailtilt.estimators import _chain_hits, _corner_hits, _plan_for, _rinv, _row_min
+from tailtilt.estimators import _chain_hits, _plan_for, _rinv, _row_min
 from tailtilt.oracle import clayton_corner_prob, rect_prob_t
 from tailtilt.randkit import MarginSpec, make_stream
 from tailtilt.tilting import sample_tilted
@@ -429,7 +429,8 @@ def test_chain_hits_match_the_full_map_property(seed, n, near, lower, first, res
         gap = 10.0 ** rng.uniform(-16.0, -7.0, k)
         gap[: k // 2] = rng.uniform(-1e-15, 1e-15, k // 2)
         v[:k, 0] = th[0] + gap * rng.choice([-1.0, 1.0], k)
-        want = _corner_hits(_rinv(model, v), th, direction)
+        u = _rinv(model, v)
+        want = np.all(u < th, axis=1) if lower else np.all(u > th, axis=1)
         assert np.array_equal(_chain_hits(model, v, th, direction), want), name
 
 
@@ -492,4 +493,6 @@ def test_every_indicator_is_its_score_test_property(seed, lower, tilt):
             v = 1.0 - ts.x if plan.reflected else ts.x
             u0 = event_uniform_thresholds(model, event)
             assert np.array_equal(_chain_hits(model, v, u0, event.direction), hits)
-            assert np.array_equal(_corner_hits(_rinv(model, v), u0, event.direction), hits)
+            u = _rinv(model, v)
+            assert np.array_equal(np.all(u < u0, axis=1) if lower else np.all(u > u0, axis=1),
+                                  hits)

@@ -206,8 +206,9 @@ def test_sampler_rejects_bad_route_and_size():
     c = gaussian_spec(0.5)
     with pytest.raises(ParameterError):
         sample_copula_uniforms(c, make_stream(0, 0), 10, route="sobol")
-    with pytest.raises(ParameterError):
-        sample_copula_uniforms(c, make_stream(0, 0), 0)
+    for n in (0, 2.5, "3", True):
+        with pytest.raises(ParameterError, match="sample size"):
+            sample_copula_uniforms(c, make_stream(0, 0), n)
 
 
 N_DIST = 1_000_000

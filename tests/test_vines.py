@@ -1,9 +1,15 @@
 """Vine structures, the edge-list text format, and vine transforms."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import log_ndtr, ndtr
 
 from tailtilt.copulas import (
+    CornerEvent,
     PairCopula,
     RVineSpec,
     VineEdge,
@@ -14,27 +20,31 @@ from tailtilt.copulas import (
     vine_rosenblatt_forward,
     vine_rosenblatt_inverse,
 )
-from tailtilt.errors import StructureError
+from tailtilt.errors import DegeneratePilotError, ParameterError, StructureError
+from tailtilt.estimators import ExperimentConfig, replicate, solve_event_theta
 from tailtilt.oracle import vine_corner_prob
 from tailtilt.randkit import MarginSpec, make_stream
 
 from perfbench import refs
 
 
-def independence_vine(d: int) -> RVineSpec:
-    indep = PairCopula("gaussian", rho=0.0)
+def gaussian_vine(d: int, rho: float, kind: str = "c") -> RVineSpec:
+    """The C-vine (kind "c", root j in tree j) or D-vine (kind "d", path
+    1-2-...-d) of the equicorrelated Gaussian copula: every pair at tree k+1
+    carries the partial correlation rho/(1 + k rho)."""
     edges = []
-    if d >= 2:
-        edges.append(VineEdge((1, 2), (), indep))
-    if d >= 3:
-        edges += [VineEdge((1, 3), (), indep), VineEdge((2, 3), (1,), indep)]
-    if d >= 4:
-        edges += [
-            VineEdge((2, 4), (), indep),
-            VineEdge((1, 4), (2,), indep),
-            VineEdge((3, 4), (1, 2), indep),
-        ]
+    for k in range(2, d + 1):
+        for j in range(1, k):
+            m, D = (j, range(1, j)) if kind == "c" else (k - j, range(k - j + 1, k))
+            pair = PairCopula("gaussian", rho=rho / (1.0 + (j - 1) * rho))
+            edges.append(VineEdge((m, k), tuple(D), pair))
     return RVineSpec(edges=tuple(edges), margins=(MarginSpec("uniform01"),) * d)
+
+
+def vine_of(d: int, signatures) -> RVineSpec:
+    pair = PairCopula("gaussian", rho=0.3)
+    edges = tuple(VineEdge(c, D, pair) for c, D in signatures)
+    return RVineSpec(edges=edges, margins=(MarginSpec("uniform01"),) * d)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +136,13 @@ def test_parse_vine_rejects_malformed_lines(line):
 # transforms
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
 def test_independence_vine_is_identity(d):
-    rv = independence_vine(d)
     v = make_stream(1, 0).uniforms(50 * d).reshape(50, d)
-    np.testing.assert_allclose(vine_rosenblatt_inverse(rv, v), v, atol=1e-12)
-    np.testing.assert_allclose(vine_rosenblatt_forward(rv, v), v, atol=1e-12)
+    for kind in ("c", "d"):
+        rv = gaussian_vine(d, 0.0, kind)  # independence
+        np.testing.assert_allclose(vine_rosenblatt_inverse(rv, v), v, atol=1e-12)
+        np.testing.assert_allclose(vine_rosenblatt_forward(rv, v), v, atol=1e-12)
 
 
 def test_three_dim_round_trip():
@@ -190,7 +201,7 @@ def test_four_dim_corner_probability_matches_reference():
 
 
 def test_vine_corner_oracle_on_independence():
-    rv = independence_vine(3)
+    rv = gaussian_vine(3, 0.0)
     for p in (0.9, 0.99, 0.999):
         assert vine_corner_prob(rv, p) == pytest.approx((1.0 - p) ** 3, rel=1e-12)
 
@@ -201,3 +212,99 @@ def test_vine_corner_oracle_matches_independent_quadrature():
         assert vine_corner_prob(vine_preset("3d"), p) == pytest.approx(ref, rel=1e-4)
     ref = refs.vine4_preset_upper(0.975)
     assert vine_corner_prob(vine_preset("4d"), 0.975) == pytest.approx(ref, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# vines beyond the presets
+
+
+def test_structure_validation_follows_the_joining_rule():
+    for c, D in (((3, 3), ()), ((2, 3), (3,)), ((1, 2), (3, 3))):
+        with pytest.raises(StructureError, match="repeats a variable"):
+            VineEdge(c, D, PairCopula("gaussian", rho=0.3))
+    with pytest.raises(StructureError, match="constraint set"):
+        vine_of(3, [((1, 2), ()), ((1, 2), ()), ((2, 3), (1,))])
+    # variable 5 joins 4, then 2 given 4: no edge joins 2 and 4 in tree 1
+    d_vine_4 = [((1, 2), ()), ((2, 3), ()), ((3, 4), ()), ((1, 3), (2,)), ((2, 4), (3,)),
+                ((1, 4), (2, 3))]
+    with pytest.raises(StructureError, match="proximity"):
+        vine_of(5, d_vine_4 + [((4, 5), ()), ((2, 5), (4,)), ((3, 5), (2, 4)),
+                               ((1, 5), (2, 3, 4))])
+    # a regular vine, the D-vine on the path 1-3-2-4, whose labels are not in
+    # a joining order: variable 2 has no edge to variable 1 alone
+    with pytest.raises(StructureError, match="variable 2 does not join"):
+        vine_of(4, [((1, 3), ()), ((2, 3), ()), ((2, 4), ()), ((1, 2), (3,)), ((3, 4), (2,)),
+                    ((1, 4), (2, 3))])
+    # the same vine relabelled along its path builds
+    assert vine_of(4, d_vine_4).d == 4
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_c_and_d_vines_of_one_gaussian_copula_share_their_maps(d):
+    c, dv = gaussian_vine(d, 0.5, "c"), gaussian_vine(d, 0.5, "d")
+    v = make_stream(4, d).uniforms(200 * d).reshape(200, d)
+    x = vine_rosenblatt_inverse(c, v)
+    np.testing.assert_allclose(vine_rosenblatt_inverse(dv, v), x, rtol=0, atol=1e-12)
+    for rv in (c, dv):
+        x = vine_rosenblatt_inverse(rv, v)
+        u = vine_rosenblatt_forward(rv, x)
+        np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
+        for k in range(1, d + 1):
+            assert np.array_equal(vine_rosenblatt_inverse(rv, v[:, :k]), x[:, :k])
+            assert np.array_equal(vine_rosenblatt_forward(rv, x[:, :k]), u[:, :k])
+
+
+def test_sample_vine_uniforms_rejects_bad_sizes():
+    for n in (0, 2.5, "3", True):
+        with pytest.raises(ParameterError, match="sample size"):
+            sample_vine_uniforms(make_stream(0, 0), vine_preset("3d"), n)
+
+
+def test_vine_corner_oracle_names_its_dimensions():
+    with pytest.raises(ParameterError, match="2..4"):
+        vine_corner_prob(gaussian_vine(5, 0.5), 0.9)
+
+
+RHO = 0.5
+
+
+def equicorrelated_corner(d: int, a: float) -> float:
+    """P(Z_i > a for all i) for d standard normals of pairwise correlation RHO:
+    E[Phi-bar((a - sqrt(RHO) W)/sqrt(1 - RHO))^d] over a standard normal W."""
+
+    def log_f(w):
+        return d * log_ndtr((np.sqrt(RHO) * w - a) / np.sqrt(1.0 - RHO)) - 0.5 * w * w
+
+    peak = brentq(lambda w: log_f(w + 1e-6) - log_f(w - 1e-6), -1.0, 20.0)
+    val, err = quad(lambda w: np.exp(log_f(w)), peak - 12.0, peak + 12.0, points=[peak],
+                    epsabs=0.0, epsrel=1e-10, limit=200)
+    return val / np.sqrt(2.0 * np.pi)
+
+
+def corner_threshold(d: int, prob: float) -> tuple[float, float]:
+    """The copula-scale threshold of the equal corner with this probability."""
+    a = brentq(lambda a: np.log(equicorrelated_corner(d, a) / prob), 0.0, 8.0, xtol=1e-13)
+    return float(ndtr(a)), equicorrelated_corner(d, a)
+
+
+@pytest.mark.parametrize("d", [5, 8])
+@pytest.mark.parametrize("prob", [1e-3, 1e-6])
+def test_trunc_exp_tilt_on_equicorrelated_gaussian_vines(d, prob):
+    p, ref = corner_threshold(d, prob)
+    cfg = ExperimentConfig(gaussian_vine(d, RHO, "c" if d == 5 else "d"),
+                           CornerEvent("upper", (p,) * d), "is-t1", n=500, M=100, seed=43)
+    sol = solve_event_theta(cfg)
+    assert sol.converged and sol.pre_levels[-1] == 0.0
+    r = replicate(ExperimentConfig(cfg.model, cfg.event, "is-t1", n=500, M=100, seed=43,
+                                   theta=tuple(sol.theta_o)))
+    assert abs(r.u_hat - ref) / r.se <= 4.0
+
+
+def test_hazard_twist_stalls_on_the_eight_dim_vine():
+    p, _ = corner_threshold(8, 1e-3)
+    cfg = ExperimentConfig(gaussian_vine(8, RHO, "d"), CornerEvent("upper", (p,) * 8), "is-t3",
+                           n=500, M=10, seed=0)
+    t0 = time.perf_counter()
+    with pytest.raises(DegeneratePilotError, match="level"):
+        solve_event_theta(cfg)
+    assert time.perf_counter() - t0 < 5.0
