@@ -19,16 +19,17 @@ min(x − u0) for Clayton. The pilot solvers' cross-entropy pre-tilt climbs
 towards the event on it. IEEE subtraction keeps the sign, so the
 latent-family indicators are the score test itself, bit for bit.
 
-The is-t1 and is-t3 indicators run the Rosenblatt chain only on the rows
-whose first coordinate can still reach the corner. Every inverse map passes
-the first uniform through as that coordinate, the Gaussian's only to within
-2.2e-16, so it is known before the chain runs. Their scores map every row.
+The is-t1 and is-t3 indicators and the crude vine and ``cim`` routes map only
+the rows whose first coordinate can still reach the corner: every inverse map
+passes the first uniform through as that coordinate (the Gaussian's to within
+2.2e-16). The scores map every row.
 
-Every method draws replication r from ``make_stream(seed, r)``, so results
-are bit-identical no matter how replications are scheduled across threads.
-With the tilt vector at zero the importance samplers consume the stream
-exactly like the crude sampler on the matching route and reproduce its
-estimate bit for bit.
+Every method draws replication r from ``make_stream(seed, r)``. Blocks of
+consecutive replications share one event test, and each replication's
+estimate is the mean of its own rows, so results are bit-identical for any
+block size and thread count. With the tilt vector at zero the importance
+samplers consume the stream exactly like the crude sampler on the matching
+route and reproduce its estimate bit for bit.
 
 Lower corners reuse the upper-corner machinery. The trunc-exp family simply
 tilts toward zero (its tilt space is two-sided), the hazard twist feeds
@@ -53,7 +54,7 @@ from .copulas import (
     event_uniform_thresholds,
     rosenblatt_inverse,
     sample_copula_uniforms,
-    sample_vine_uniforms,
+    sample_vine_uniforms,  # unused; perfbench's traced run wraps it as a span boundary
     transform_event,
     vine_rosenblatt_inverse,
 )
@@ -61,6 +62,7 @@ from .errors import ConfigError, DomainError, ParameterError
 from .randkit import make_stream
 from .tilting import (
     TiltFamily,
+    TiltedSample,
     TiltSolution,
     psi,
     sample_tilted,
@@ -306,58 +308,71 @@ def _resolve_theta(cfg: ExperimentConfig, plan: _Plan) -> tuple[np.ndarray, floa
     return th, 0.0
 
 
-def _build_rep_fn(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | None):
-    """Per-replication worker returning the n weighted indicator terms."""
-    model, ev, n = cfg.model, cfg.event, cfg.n
-    if cfg.method == "naive":
-        u0 = event_uniform_thresholds(model, ev)
-        vine = _is_vine(model)
+_BLOCK_ROWS = 3072  # rows per block of replications, chosen by measurement
 
-        def rep(s):
-            u = (sample_vine_uniforms(s, model, n) if vine
-                 else sample_copula_uniforms(model, s, n, cfg.route))
-            return (_corner_score(u, u0, ev.direction) > 0.0) * 1.0
 
-        return rep
+def _stream_fns(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | None):
+    """``draw(s)``: a replication's arrays from stream s; ``test(*rows)``: a block's terms."""
+    model, ev, n, d = cfg.model, cfg.event, cfg.n, cfg.model.d
+    u0 = event_uniform_thresholds(model, ev)
+    if plan is not None:
+        def draw(s):
+            ts = sample_tilted(plan.family, s, theta, n)
+            return ts.x, ts.stat, ts.log_lr
 
-    family, indicator = plan.family, plan.indicator
-
-    def rep(s):
-        ts = sample_tilted(family, s, theta, n)
-        return indicator(ts) * np.exp(ts.log_lr)
-
-    return rep
+        def test(x, stat, log_lr):
+            return plan.indicator(TiltedSample(x, stat, log_lr, ())) * np.exp(log_lr)
+    elif _is_vine(model) or cfg.route == "cim":
+        # sample_vine_uniforms' and the cim route's words, mapped where they can hit
+        draw = lambda s: (s.uniforms(n * d).reshape(n, d),)
+        test = lambda v: _chain_hits(model, v, u0, ev.direction) * 1.0
+    else:
+        draw = lambda s: (sample_copula_uniforms(model, s, n, "direct"),)
+        test = lambda u: (_corner_score(u, u0, ev.direction) > 0.0) * 1.0
+    return draw, test
 
 
 def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     """Run M independent replications and aggregate them.
 
-    Replication r draws from ``make_stream(cfg.seed, r)``, so the result is
-    bit-identical for any ``threads``; more than one thread spreads the
-    replications over a pool. Solving for the tilt, when requested, happens
-    before the clock starts and is timed on its own as ``solve_seconds``.
+    Replication r draws from ``make_stream(cfg.seed, r)``. Replications run
+    in blocks of about ``_BLOCK_ROWS`` rows that share one event test, and
+    each one's estimate is the mean of its own n terms, so the result is
+    bit-identical for any block size and ``threads``; more than one thread
+    spreads the blocks over a pool. Solving for the tilt, when requested,
+    happens before the clock starts and is timed on its own as ``solve_seconds``.
     """
     if threads < 1:
         raise ParameterError(f"thread count must be at least 1, got {threads}")
     plan = _plan_for(cfg) if cfg.method != "naive" else None
     theta, solve_seconds = _resolve_theta(cfg, plan) if plan is not None else (None, 0.0)
-    rep_fn = _build_rep_fn(cfg, plan, theta)
+    draw, test = _stream_fns(cfg, plan, theta)
 
-    M = cfg.M
+    M, n = cfg.M, cfg.n
+    B = max(1, _BLOCK_ROWS // n)
     est = np.empty(M)
 
-    def run(r: int) -> np.ndarray:
-        terms = rep_fn(make_stream(cfg.seed, r))
-        est[r] = terms.mean()
+    def run(r0: int) -> np.ndarray:
+        rs = range(r0, min(r0 + B, M))
+        rows = None
+        for i, r in enumerate(rs):
+            parts = draw(make_stream(cfg.seed, r))
+            if rows is None:  # one set of arrays per block
+                rows = [np.empty((len(rs) * n,) + a.shape[1:]) for a in parts]
+            for whole, a in zip(rows, parts):
+                whole[i * n:(i + 1) * n] = a
+        terms = test(*rows)
+        for i, r in enumerate(rs):
+            est[r] = terms[i * n:(i + 1) * n].mean()
         return terms
 
     t0 = time.perf_counter()
-    if threads == 1 or M == 1:
-        for r in range(M):
-            terms = run(r)
+    if threads == 1 or M <= B:
+        for r0 in range(0, M, B):
+            terms = run(r0)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(run, range(M), chunksize=max(1, M // (threads * 8))):
+            for _ in pool.map(run, range(0, M, B)):
                 pass
     seconds = time.perf_counter() - t0
 

@@ -1,12 +1,22 @@
 """Estimation methods, replication engine, efficiency metrics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, stdtr
 
-from tailtilt.copulas import CopulaSpec, CornerEvent, event_uniform_thresholds, vine_preset
+from tailtilt import estimators
+from tailtilt.copulas import (
+    CopulaSpec,
+    CornerEvent,
+    event_uniform_thresholds,
+    sample_copula_uniforms,
+    sample_vine_uniforms,
+    vine_preset,
+)
 from tailtilt.errors import ConfigError, DomainError, ParameterError, ShapeError
 from tailtilt.estimators import (
     _FIRST_COLUMN_SLACK,
@@ -335,6 +345,100 @@ def test_vine_estimates_agree():
     joint = np.hypot(naive.sd, t1.sd) / np.sqrt(400)
     assert gap < 3.0 * joint
     assert t1.sd < naive.sd / 4.0
+
+
+# (model, upper corner, lower corner, {method: tilt}) for the block tests; the
+# tilts are fixed so that no solve runs
+VINE_3D, VINE_4D = vine_preset("3d"), vine_preset("4d")
+BLOCK_CASES = {
+    "gaussian": (gauss_model(0.5), upper(1.5), CornerEvent("lower", (-1.5, -1.5)),
+                 {"naive": None, "is-t1": (2.0, 2.0), "is-t2": (1.5, 1.5), "is-t3": 0.5}),
+    "student-t": (T_MODEL, upper(2.0), CornerEvent("lower", (-2.0, -2.0)),
+                  {"naive": None, "is-t1": (2.0, 2.0), "is-t2": (0.3, 0.3),
+                   "is-t3": 0.5, "is-ld": (0.3, 0.3)}),
+    "clayton": (CLAYTON_MODEL, upper(1.2), CornerEvent("lower", (-1.2, -1.2)),
+                {"naive": None, "is-t1": (2.0, 2.0), "is-t2": (0.5, 2.0, 2.0), "is-t3": 0.5}),
+    "vine-3d": (VINE_3D, upper(0.975, 3), CornerEvent("lower", (0.05,) * 3),
+                {"naive": None, "is-t1": (3.0,) * 3, "is-t3": 0.6}),
+    "vine-4d": (VINE_4D, upper(0.975, 4), CornerEvent("lower", (0.05,) * 4),
+                {"naive": None, "is-t1": (3.0,) * 4, "is-t3": 0.6}),
+}
+
+
+def _bits(r: EstimateResult) -> tuple:
+    return r.u_hat, r.sd, r.sd_within_run
+
+
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+def test_blocks_of_any_size_give_the_same_bits(monkeypatch, name, lower):
+    model, up, low, tilts = BLOCK_CASES[name]
+    ev = low if lower else up
+    n = 500
+    B = estimators._BLOCK_ROWS // n
+    assert B > 2
+    for method, theta in tilts.items():
+        if lower and name == "clayton" and method == "is-t2":
+            continue  # the frailty tilt covers upper corners only
+        if lower and method == "is-t1":
+            theta = tuple(-t for t in theta)  # the trunc-exp tilt leans towards zero
+        routes = ("direct", "cim") if method == "naive" else ("direct",)
+        for route, M in itertools.product(routes, (1, B // 2, B + 1)):
+            cfg = ExperimentConfig(model, ev, method, n=n, M=M, seed=41, theta=theta,
+                                   route=route)
+            blocks = replicate(cfg)
+            pooled = replicate(cfg, threads=2)
+            with monkeypatch.context() as mp:
+                mp.setattr(estimators, "_BLOCK_ROWS", n)  # one stream per block
+                single = replicate(cfg)
+            assert _bits(blocks) == _bits(single) == _bits(pooled), (method, route, M)
+            assert blocks.sd_within_run == (M == 1)
+
+
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+@pytest.mark.parametrize("name", ["vine-3d", "vine-4d", "gaussian-cim"])
+def test_crude_chain_routes_match_the_full_map(name, lower):
+    """The crude vine and cim replications test each stream's words without
+    mapping most rows; a reference that maps every row gives the same bits."""
+    if name == "gaussian-cim":
+        model = gauss_model(0.5)
+        ev = CornerEvent("lower", (-1.96, -1.96)) if lower else upper(1.96)
+
+        def full_map(s, n):
+            return sample_copula_uniforms(model, s, n, "cim")
+    else:
+        model = VINE_3D if name == "vine-3d" else VINE_4D
+        ev = CornerEvent("lower" if lower else "upper", (0.025 if lower else 0.975,) * model.d)
+
+        def full_map(s, n):
+            return sample_vine_uniforms(s, model, n)
+    n, M, seed = 500, 20, 43
+    u0 = event_uniform_thresholds(model, ev)
+    est = np.empty(M)
+    for r in range(M):
+        u = full_map(make_stream(seed, r), n)
+        est[r] = np.mean(np.all(u < u0, axis=1) if lower else np.all(u > u0, axis=1))
+    got = replicate(ExperimentConfig(model, ev, "naive", n=n, M=M, seed=seed, route="cim"))
+    assert est.mean() > 0.0
+    assert (got.u_hat, got.sd) == (float(est.mean()), float(est.std(ddof=1)))
+
+
+@pytest.mark.parametrize("model", [VINE_3D, VINE_4D], ids=["3d", "4d"])
+def test_zero_tilt_matches_crude_on_vines(model):
+    d = model.d
+    ev = upper(0.95, d)
+    crude = replicate(ExperimentConfig(model, ev, "naive", n=500, M=30, seed=44))
+    t1 = replicate(ExperimentConfig(model, ev, "is-t1", n=500, M=30, seed=44, theta=(0.0,) * d))
+    t3 = replicate(ExperimentConfig(model, ev, "is-t3", n=500, M=30, seed=44, theta=(0.0,)))
+    assert crude.u_hat > 0.0
+    assert _bits(t1) == _bits(crude)
+    assert _bits(t3) == _bits(crude)
+    low = CornerEvent("lower", (0.05,) * d)
+    crude_low = replicate(ExperimentConfig(model, low, "naive", n=500, M=30, seed=44))
+    t1_low = replicate(ExperimentConfig(model, low, "is-t1", n=500, M=30, seed=44,
+                                        theta=(0.0,) * d))
+    assert crude_low.u_hat > 0.0
+    assert _bits(t1_low) == _bits(crude_low)
 
 
 # ---------------------------------------------------------------------------
