@@ -6,7 +6,10 @@ here is exchangeable, so a single formula serves both conditioning orders
 (callers swap arguments when they need the other one). Gaussian, t, Clayton,
 and Frank inverses exist in closed form; Gumbel and Joe are inverted
 numerically to 1e-10 by a bracketed Newton iteration in a transformed
-coordinate where the root problem is monotone and well scaled.
+coordinate where the root problem is monotone and well scaled. Joe's starts
+at the root of its equation without the log1p(-t) term, which lies at or
+above the true one, and stops once a step moves t by at most 1e-12 of
+itself. An element still moving at its iteration cap raises SolverError.
 
 Inputs are clamped a hair inside (0,1) so that compositions of many
 h-functions cannot round onto the boundary and poison downstream quantile
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
-from ..errors import ParameterError
+from ..errors import ParameterError, SolverError
 from ..randkit import _check_clayton_delta
 
 __all__ = ["PairCopula", "h_func", "h_inv"]
@@ -133,13 +136,15 @@ def h_inv(pc: PairCopula, q, v1) -> np.ndarray:
     return np.clip(out, _LO, _HI)
 
 
-def _iterate_each(step, state: tuple, args: tuple, rtol: float, max_iter: int) -> np.ndarray:
+def _iterate_each(step, state: tuple, args: tuple, rtol: float, max_iter: int,
+                  family: str) -> np.ndarray:
     """Run ``state = step(*state, *args)`` elementwise over flat arrays.
 
     Each element stops once its first state entry moves by at most ``rtol``
     times its new value, and only the elements still moving are iterated,
     so an element's result does not depend on the others in the call.
-    Returns the final first state entry.
+    Returns the final first state entry; raises :class:`SolverError`,
+    naming ``family``, if any element still moves after ``max_iter`` steps.
     """
     out = state[0].copy()
     idx = np.arange(out.size)
@@ -148,13 +153,14 @@ def _iterate_each(step, state: tuple, args: tuple, rtol: float, max_iter: int) -
         out[idx] = new[0]
         live = np.flatnonzero(np.abs(new[0] - state[0]) > rtol * new[0])
         if live.size == 0:
-            break
+            return out
         if live.size < idx.size:
             idx = idx[live]
             new = tuple(z[live] for z in new)
             args = tuple(z[live] for z in args)
         state = new
-    return out
+    raise SolverError(f"{family} h_inv: {idx.size} of {out.size} elements did not "
+                      f"converge in {max_iter} steps")
 
 
 def _gumbel_h_inv(d: float, q: np.ndarray, v1: np.ndarray) -> np.ndarray:
@@ -173,7 +179,7 @@ def _gumbel_h_inv(d: float, q: np.ndarray, v1: np.ndarray) -> np.ndarray:
         g = x - s + (d - 1.0) * (ln_x - np.log(s)) - ln_q
         return (np.maximum(s - g / (-1.0 - (d - 1.0) / s), x),)
 
-    s = _iterate_each(step, (x - ln_q,), (x, np.log(x), ln_q), 1e-13, 100)
+    s = _iterate_each(step, (x - ln_q,), (x, np.log(x), ln_q), 1e-13, 100, "gumbel")
     y = x * np.expm1(d * np.log(s / x)) ** (1.0 / d)
     return np.exp(-y).reshape(q.shape)
 
@@ -181,29 +187,44 @@ def _gumbel_h_inv(d: float, q: np.ndarray, v1: np.ndarray) -> np.ndarray:
 def _joe_h_inv(d: float, q: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """Invert the Joe h-function by bracketed Newton in t = (1 - v2)^d.
 
-    g(t) = ln h - ln q is strictly decreasing on (0,1) with g(0) = -ln q > 0,
-    so a sign-change bracket always exists; Newton steps that leave the
-    bracket fall back to bisection. A step that lands on a bracket end is
-    kept: at the root the step rounds to zero, and bisecting from there
-    would throw the converged value away.
+    With a = (1 - v1)^d and r = (1 - a)/a, ln h - ln q is
+    g(t) = c1 log1p(t r) + log1p(-t) - ln q, c1 = 1/d - 1, once the terms
+    c1 ln a and (d - 1) ln(1 - v1), which cancel exactly, are dropped: kept,
+    they bury g in rounding when q is near 1.
+    g is strictly decreasing on (0,1) with g(0) = -ln q > 0, so a
+    sign-change bracket always exists; Newton steps that leave the bracket
+    fall back to bisection. A step that lands on a bracket end is kept: at
+    the root the step rounds to zero, and bisecting from there would throw
+    the converged value away.
+
+    The start, the root of g without its log1p(-t) term capped at 1 - q, has
+    g <= 0, so it lies at or just above the root. An element stops once its
+    step is at most 1e-12 of t; a tighter rule crept on through steps that
+    move only rounding. At d = 1 (independence) v2 = q.
     """
     q, v1 = np.broadcast_arrays(q, v1)
-    ub = 1.0 - v1.ravel()
+    if d == 1.0:
+        return q.copy()
+    q, ub = q.ravel(), 1.0 - v1.ravel()
     c1 = 1.0 / d - 1.0
+    # a is floored at the smallest normal double so that r stays finite
+    a = np.maximum(ub**d, np.finfo(np.float64).tiny)
+    r = (1.0 - a) / a
+    ln_q = np.log(q)
 
-    def step(t, lo, hi, a, b, c1b, base, ln_q):
-        s = a + t * b
-        g = c1 * np.log(s) + np.log1p(-t) + base - ln_q
+    def step(t, lo, hi, r, ln_q):
+        tr = t * r
+        g = c1 * np.log1p(tr) + np.log1p(-t) - ln_q
         lo = np.where(g > 0, t, lo)
         hi = np.where(g < 0, t, hi)
-        gp = c1b / s - 1.0 / (1.0 - t)
+        gp = c1 * r / (1.0 + tr) - 1.0 / (1.0 - t)
         t_new = t - g / gp
         outside = (t_new < lo) | (t_new > hi)
         return np.where(outside, 0.5 * (lo + hi), t_new), lo, hi
 
-    t0 = np.clip(1.0 - q.ravel(), 1e-16, 1.0 - 1e-16)
+    # the exponent is capped where the start exceeds 1 - q anyway
+    w0 = np.minimum(np.expm1(np.minimum(ln_q / c1, 700.0)), (1.0 - q) * r)
+    t0 = np.clip(w0 / r, 1e-300, 1.0 - 1e-16)
     state = (t0, np.zeros_like(t0), np.full_like(t0, 1.0 - 1e-16))
-    a = ub**d
-    args = (a, 1.0 - a, c1 * (1.0 - a), (d - 1.0) * np.log(ub), np.log(q.ravel()))
-    t = _iterate_each(step, state, args, 1e-14, 200)
-    return (1.0 - t ** (1.0 / d)).reshape(q.shape)
+    t = _iterate_each(step, state, (r, ln_q), 1e-12, 200, "joe")
+    return (1.0 - t ** (1.0 / d)).reshape(v1.shape)

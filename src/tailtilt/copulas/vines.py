@@ -13,7 +13,8 @@ F(b | D-b)) under the edge whose constraint set is {a} + D, b being that
 edge's other conditioned variable. The forward map is v_k = F(k | 1..k-1);
 the inverse undoes variable k's edges from its last tree back with h_inv.
 Both loop over k, so the first k columns of either map need only the first k
-input columns.
+input columns. The inverse can drop rows after each column; the memoised
+values are subset with them.
 
 Edge lists can also be read from text: one edge per line, as in
 
@@ -221,10 +222,9 @@ def _as_matrix(rv: RVineSpec, arr, name: str) -> np.ndarray:
     return arr
 
 
-def _conditionals(rv: RVineSpec, x: np.ndarray):
-    """F(a | D) on the rows of copula-scale x, memoised for one map call; it
-    reads only the columns of a and D."""
-    memo = {}
+def _conditionals(rv: RVineSpec, x: np.ndarray, memo: dict):
+    """F(a | D) on the rows of copula-scale x, memoised in ``memo`` by (a, D);
+    it reads only the columns of a and D."""
 
     def F(a: int, D: frozenset) -> np.ndarray:
         if not D:
@@ -243,23 +243,39 @@ def vine_rosenblatt_forward(rv: RVineSpec, x) -> np.ndarray:
     """Map copula-scale X to i.i.d. uniforms V, v_k = F(x_k | x_1..x_(k-1));
     k columns give V's first k."""
     x = _as_matrix(rv, x, "x")
-    F = _conditionals(rv, x)
+    F = _conditionals(rv, x, {})
     v = np.empty_like(x)
     for k in range(1, x.shape[1] + 1):
         v[:, k - 1] = F(k, frozenset(range(1, k)))
     return v
 
 
-def vine_rosenblatt_inverse(rv: RVineSpec, v) -> np.ndarray:
-    """Inverse of the forward map: uniforms V to copula-scale X; k columns give X's first k."""
+def vine_rosenblatt_inverse(rv: RVineSpec, v, keep=None) -> np.ndarray:
+    """Inverse of the forward map: uniforms V to copula-scale X; k columns give X's first k.
+
+    ``keep(k, x_k)``, if given, tests column k's values x_k and is True on
+    the rows to map on column k + 1. The later columns of the other rows
+    are not mapped and read NaN; since every h-function acts elementwise,
+    the mapped entries are bit-identical to the full map's.
+    """
     v = _as_matrix(rv, v, "v")
-    x = np.empty_like(v)
-    F = _conditionals(rv, x)
+    x = np.full_like(v, np.nan)
+    xs, rows, memo = x, None, {}  # the mapped rows' columns, their indices in x
+    F = _conditionals(rv, xs, memo)
     for k in range(1, v.shape[1] + 1):
-        t = v[:, k - 1]
+        t = v[:, k - 1] if rows is None else v[rows, k - 1]
         for pair, m, D in reversed(rv._joins[k - 1]):
             t = h_inv(pair, t, F(m, D))
-        x[:, k - 1] = t
+        xs[:, k - 1] = t
+        if rows is not None:
+            x[rows, k - 1] = t
+        if keep is not None and k < v.shape[1]:
+            kept = np.flatnonzero(keep(k, t))
+            if kept.size < t.size:
+                rows = kept if rows is None else rows[kept]
+                xs = xs[kept]
+                memo = {key: z[kept] for key, z in memo.items()}
+                F = _conditionals(rv, xs, memo)
     return x
 
 

@@ -20,9 +20,11 @@ towards the event on it. IEEE subtraction keeps the sign, so the
 latent-family indicators are the score test itself, bit for bit.
 
 The is-t1 and is-t3 indicators and the crude vine and ``cim`` routes map only
-the rows whose first coordinate can still reach the corner: every inverse map
-passes the first uniform through as that coordinate (the Gaussian's to within
-2.2e-16). The scores map every row.
+the rows that can still reach the corner. On a vine, column k + 1 is mapped
+only on the rows whose columns 1..k lie inside it. A parametric model maps
+the rows whose first coordinate can still reach it: every parametric inverse
+map passes the first uniform through as that coordinate (the Gaussian's to
+within 2.2e-16). The scores map every row.
 
 Every method draws replication r from ``make_stream(seed, r)``. Blocks of
 consecutive replications share one event test, and each replication's
@@ -184,24 +186,32 @@ def _corner_score(u: np.ndarray, u0: np.ndarray, direction: str) -> np.ndarray:
     return _row_min(u - u0 if direction == "upper" else u0 - u)
 
 
-# Column 1 of every Rosenblatt inverse is v1, except that the Gaussian map
-# round-trips it through ndtr(ndtri(v1)), which stays within 2.2e-16 of v1
-# from 2^-54 to the last double below 1. A row whose first uniform misses the
-# corner by more than the slack cannot be a hit, and the exact corner test
-# decides every other row.
+# Column 1 of every parametric Rosenblatt inverse is v1, except that the
+# Gaussian map round-trips it through ndtr(ndtri(v1)), which stays within
+# 2.2e-16 of v1 from 2^-54 to the last double below 1. A row whose first
+# uniform misses the corner by more than the slack cannot be a hit, and the
+# exact corner test decides every other row.
 _FIRST_COLUMN_SLACK = 1e-12
 
 
 def _chain_hits(model, v: np.ndarray, u0: np.ndarray, direction: str) -> np.ndarray:
     """``_corner_score(_rinv(model, v), u0, direction) > 0``, mapping only the
-    rows whose first column can still reach the corner."""
-    if direction == "upper":
+    rows that can still reach the corner: on a vine, column k + 1 of the rows
+    inside it on columns 1..k; on a parametric model, the rows whose first
+    uniform lies inside it or within the slack of it."""
+    upper = direction == "upper"
+    if _is_vine(model):
+        def keep(k, xk):
+            return xk > u0[k - 1] if upper else xk < u0[k - 1]
+
+        return _corner_score(vine_rosenblatt_inverse(model, v, keep), u0, direction) > 0.0
+    if upper:
         rows = np.flatnonzero(v[:, 0] > u0[0] - _FIRST_COLUMN_SLACK)
     else:
         rows = np.flatnonzero(v[:, 0] < u0[0] + _FIRST_COLUMN_SLACK)
     hits = np.zeros(v.shape[0], dtype=bool)
     if rows.size:
-        hits[rows] = _corner_score(_rinv(model, v[rows]), u0, direction) > 0.0
+        hits[rows] = _corner_score(rosenblatt_inverse(model, v[rows]), u0, direction) > 0.0
     return hits
 
 

@@ -12,10 +12,12 @@ from tailtilt import estimators
 from tailtilt.copulas import (
     CopulaSpec,
     CornerEvent,
+    RVineSpec,
     event_uniform_thresholds,
     sample_copula_uniforms,
     sample_vine_uniforms,
     vine_preset,
+    vine_rosenblatt_forward,
 )
 from tailtilt.errors import ConfigError, DomainError, ParameterError, ShapeError
 from tailtilt.estimators import (
@@ -31,6 +33,7 @@ from tailtilt.estimators import _chain_hits, _plan_for, _rinv, _row_min
 from tailtilt.oracle import clayton_corner_prob, rect_prob_t
 from tailtilt.randkit import MarginSpec, make_stream
 from tailtilt.tilting import sample_tilted
+from test_vines import gaussian_vine
 
 NORMAL = MarginSpec("std-normal")
 T2_MARGIN = MarginSpec("student-t", df=2.0)
@@ -512,6 +515,7 @@ CHAIN_MODELS = {
     "clayton": CopulaSpec("clayton", (UNIF,) * 3, delta=3.0),
     "vine3": vine_preset("3d"),
     "vine4": vine_preset("4d"),
+    "dvine5": gaussian_vine(5, 0.5, "d"),
 }
 
 
@@ -519,7 +523,7 @@ CHAIN_MODELS = {
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
        near=st.integers(0, 40), lower=st.booleans(),
        first=st.one_of(st.floats(0.02, 0.98), st.floats(-1e-8, 1e-8).map(lambda x: 0.5 + x)),
-       rest=st.lists(st.floats(0.02, 0.98), min_size=3, max_size=3))
+       rest=st.lists(st.floats(0.02, 0.98), min_size=4, max_size=4))
 def test_chain_hits_match_the_full_map_property(seed, n, near, lower, first, rest):
     direction = "lower" if lower else "upper"
     rng = np.random.default_rng(seed)
@@ -533,6 +537,15 @@ def test_chain_hits_match_the_full_map_property(seed, n, near, lower, first, res
         gap = 10.0 ** rng.uniform(-16.0, -7.0, k)
         gap[: k // 2] = rng.uniform(-1e-15, 1e-15, k // 2)
         v[:k, 0] = th[0] + gap * rng.choice([-1.0, 1.0], k)
+        if isinstance(model, RVineSpec):
+            # the vine maps column j + 1 only on the rows inside the corner on
+            # columns 1..j: put rows within 1e-15 of the threshold on each
+            # column, and inside the corner on the others
+            lo, hi = (np.zeros_like(th), th) if lower else (th, np.ones_like(th))
+            x = lo + (hi - lo) * rng.uniform(size=(k, model.d))
+            near_th = rng.uniform(size=(k, model.d)) < 0.5
+            x[near_th] = (th + rng.uniform(-1e-15, 1e-15, (k, model.d)))[near_th]
+            v[:k] = vine_rosenblatt_forward(model, x)
         u = _rinv(model, v)
         want = np.all(u < th, axis=1) if lower else np.all(u > th, axis=1)
         assert np.array_equal(_chain_hits(model, v, th, direction), want), name

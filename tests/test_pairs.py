@@ -1,10 +1,12 @@
 """Conditional distribution functions of the pair copula families."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from tailtilt.copulas import PairCopula, h_func, h_inv
-from tailtilt.errors import ParameterError
+from tailtilt.copulas import PairCopula, h_func, h_inv, pairs
+from tailtilt.errors import ParameterError, SolverError
 
 GRID = np.linspace(0.01, 0.99, 15)
 
@@ -131,3 +133,38 @@ def test_numeric_inverse_of_an_element_ignores_the_rest_of_the_call(pc):
     single = np.array([h_inv(pc, [qi], [vi])[0] for qi, vi in zip(q, v1)])
     assert np.array_equal(single, batch)
     np.testing.assert_allclose(h_func(pc, single, v1), q, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.2, 3.0])
+def test_joe_inverse_takes_few_steps_on_corner_draws(delta, monkeypatch):
+    steps = []
+    iterate = pairs._iterate_each
+
+    def counted(step, *rest):
+        calls = [0]
+
+        def counting(*state):
+            calls[0] += 1
+            return step(*state)
+
+        out = iterate(counting, *rest)
+        steps.append(calls[0])
+        return out
+
+    monkeypatch.setattr(pairs, "_iterate_each", counted)
+    rng = np.random.default_rng(15)
+    q, v1 = rng.uniform(0.0, 1.0, 2000), 1.0 - 10.0 ** rng.uniform(-8.0, 0.0, 2000)
+    pc = PairCopula("joe", delta=delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for qi, vi in zip(q, v1):
+            h_inv(pc, [qi], [vi])
+    assert max(steps, default=0) <= 30
+
+
+def test_numeric_inverse_that_reaches_its_cap_raises():
+    def creep(t):
+        return (t * (1.0 + 1e-6),)
+
+    with pytest.raises(SolverError, match=r"joe h_inv: 2 of 3 elements .* 5 steps"):
+        pairs._iterate_each(creep, (np.array([0.0, 1.0, 2.0]),), (), 1e-12, 5, "joe")
