@@ -14,7 +14,8 @@ itself. An element still moving at its iteration cap raises SolverError.
 Inputs are clamped a hair inside (0,1) so that compositions of many
 h-functions cannot round onto the boundary and poison downstream quantile
 transforms. Clayton evaluations run in log space throughout because v^(-delta)
-overflows long before v reaches the smallest normal double.
+overflows long before v reaches the smallest normal double; Joe's h-function
+does too, because (1 - v)^delta underflows near the upper corner.
 """
 
 from __future__ import annotations
@@ -102,10 +103,13 @@ def h_func(pc: PairCopula, v2, v1) -> np.ndarray:
         den = np.expm1(-d) + np.expm1(-d * v1) * np.expm1(-d * v2)
         out = num / den
     else:  # joe
+        # h = (ub^d / s)^(1 - 1/d) (1 - vb^d), s = ub^d + vb^d (1 - ub^d), with
+        # ub = 1 - v1 and vb = 1 - v2; in logs, since both powers underflow
+        # near the upper corner
         d = pc.delta
-        ub, vb = 1.0 - v1, 1.0 - v2
-        s = ub**d + vb**d * (1.0 - ub**d)
-        out = s ** (1.0 / d - 1.0) * ub ** (d - 1.0) * (1.0 - vb**d)
+        la, lb = d * np.log1p(-v1), d * np.log1p(-v2)
+        log_ratio = -np.logaddexp(0.0, lb - la + np.log(-np.expm1(la)))
+        out = np.exp((1.0 - 1.0 / d) * log_ratio + np.log(-np.expm1(lb)))
     return np.clip(out, _LO, _HI)
 
 

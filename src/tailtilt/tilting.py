@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .errors import (
     DegeneratePilotError,
@@ -678,8 +676,8 @@ def truncated_mvn_first_moment(sigma, lower, theta) -> np.ndarray:
     Uses the closed-form first moment of a truncated centered normal: each
     coordinate contributes a normal density at its shifted threshold times
     the survival probability of the remaining coordinates conditioned on
-    that threshold. Dimensions up to four are supported, the conditional
-    survivals coming from the rectangle oracle beyond the bivariate case.
+    that threshold, from the rectangle oracle. Dimensions up to four are
+    supported.
     """
     sigma = _check_correlation(sigma)
     d = sigma.shape[0]
@@ -692,21 +690,13 @@ def truncated_mvn_first_moment(sigma, lower, theta) -> np.ndarray:
         raise SolverError(f"survival probability underflowed at thresholds {b}")
     w = np.empty(d)
     for q in range(d):
-        pdf_q = float(_norm_pdf(b[q]))
-        if d == 1:
-            w[q] = pdf_q
-            continue
         rest = [i for i in range(d) if i != q]
         r = sigma[rest, q]
         scale = np.sqrt(1.0 - r * r)
-        b_cond = (b[rest] - r * b[q]) / scale
-        if d == 2:
-            surv = float(ndtr(-b_cond[0]))
-        else:
-            corr = (sigma[np.ix_(rest, rest)] - np.outer(r, r)) / np.outer(scale, scale)
-            np.fill_diagonal(corr, 1.0)
-            surv = rect_prob_gaussian(corr, b_cond, "upper")
-        w[q] = pdf_q * surv
+        corr = (sigma[np.ix_(rest, rest)] - np.outer(r, r)) / np.outer(scale, scale)
+        np.fill_diagonal(corr, 1.0)
+        surv = rect_prob_gaussian(corr, (b[rest] - r * b[q]) / scale, "upper") if rest else 1.0
+        w[q] = float(_norm_pdf(b[q])) * surv
     return sigma @ w / den - shift
 
 
@@ -715,9 +705,9 @@ def solve_theta_gaussian_tallis(sigma, a_star) -> TiltSolution:
 
     The condition equates the event-conditional mean under the conjugate
     shifted normal with Σθ. Damped Newton on that residual with a central
-    finite-difference Jacobian converges in a handful of steps; if it
-    stalls on an exchangeable problem the equation collapses to one scalar
-    unknown and is bracketed instead.
+    finite-difference Jacobian converges in a handful of steps; a solve
+    whose damped step no longer lowers the residual is returned with
+    ``converged=False``.
     """
     sigma = _check_correlation(sigma)
     d = sigma.shape[0]
@@ -728,11 +718,9 @@ def solve_theta_gaussian_tallis(sigma, a_star) -> TiltSolution:
 
     theta = np.linalg.solve(sigma, a)
     r = resid(theta)
+    rnorm = float(np.linalg.norm(r))
     iters = 0
-    for _ in range(_TALLIS_MAX_ITERS):
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= _TALLIS_TOL:
-            break
+    while rnorm > _TALLIS_TOL and iters < _TALLIS_MAX_ITERS:
         J = np.empty((d, d))
         for j in range(d):
             h = 1e-6 * (1.0 + abs(theta[j]))
@@ -743,40 +731,15 @@ def solve_theta_gaussian_tallis(sigma, a_star) -> TiltSolution:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             break
-        lam = 1.0
-        improved = False
-        while lam > 1e-8:
+        iters += 1
+        for lam in 0.5 ** np.arange(27):  # 1 down to 1.5e-8
             trial = theta + lam * step
             rt = resid(trial)
             if np.linalg.norm(rt) < rnorm:
-                theta, r = trial, rt
-                improved = True
+                theta, r, rnorm = trial, rt, float(np.linalg.norm(rt))
                 break
-            lam /= 2.0
-        iters += 1
-        if not improved:
+        else:
             break
-
-    rnorm = float(np.linalg.norm(r))
-    if rnorm > _TALLIS_TOL:
-        off = sigma[~np.eye(d, dtype=bool)]
-        exchangeable = (d == 1 or np.ptp(off) < 1e-12) and np.ptp(a) < 1e-12
-        if exchangeable:
-            ones = np.ones(d)
-
-            def scalar_resid(t: float) -> float:
-                return float(resid(t * ones)[0])
-
-            hi = max(2.0 * abs(theta[0]), 1.0)
-            lo = -hi
-            while scalar_resid(lo) * scalar_resid(hi) > 0.0 and hi < 1024.0:
-                lo, hi = lo * 2.0, hi * 2.0
-            if scalar_resid(lo) * scalar_resid(hi) <= 0.0:
-                t = brentq(scalar_resid, lo, hi, xtol=1e-12)
-                theta = t * ones
-                r = resid(theta)
-                rnorm = float(np.linalg.norm(r))
-                iters += 1
 
     g_exact = float(np.exp(theta @ sigma @ theta) * rect_prob_gaussian(sigma, a + sigma @ theta))
     return TiltSolution(

@@ -193,6 +193,14 @@ def test_solver_failure_exit_code(capsys):
     assert out == ""
 
 
+def test_estimate_on_case_2_deepest_corner(capsys):
+    # the closed-form solve converges here, so the run estimates and exits 0
+    code, payload = run_json(capsys, "estimate", "--copula", "gaussian", "--rho", "0.5",
+                             "--p", "2.395", "--method", "is-t2", "--reps", "4")
+    assert code == 0
+    assert payload["u_hat"] > 0.0
+
+
 def test_solve_theta_pilot_solver_at_a_deep_corner(capsys):
     # Φ(-5.5)² ≈ 3.6e-16, far below what crude draws at the zero tilt can see
     code, payload = run_json(capsys, "solve-theta", "--copula", "gaussian", "--rho", "0",

@@ -1,11 +1,13 @@
-"""The pilot solver at the paper's depth: corners from 1e-6 to 1e-12.
+"""The tilt solvers at the paper's depth: corners from 1e-6 to 1e-12.
 
-Each tilt comes from ``solve_event_theta`` (cross-entropy pre-tilt, pilot and
-Newton), and each estimate at n=500, M=200 must lie within 4 standard errors
-of a deterministic reference.
+Each tilt comes from ``solve_event_theta`` (the closed form for a bivariate
+Gaussian under is-t2, otherwise cross-entropy pre-tilt, pilot and Newton),
+and each estimate at n=500, M=200 must lie within 4 standard errors of a
+deterministic reference.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from scipy.special import ndtr, ndtri, stdtr
 from tailtilt.copulas import CopulaSpec, CornerEvent, vine_preset
 from tailtilt.errors import DegeneratePilotError
 from tailtilt.estimators import ExperimentConfig, replicate, solve_event_theta
-from tailtilt.oracle import clayton_corner_prob, rect_prob_t, vine_corner_prob
+from tailtilt.oracle import (clayton_corner_prob, rect_prob_gaussian, rect_prob_t,
+                             vine_corner_prob)
 from tailtilt.randkit import MarginSpec
 
 UNIF = MarginSpec("uniform01")
@@ -45,6 +48,24 @@ def test_independent_gaussian_corner(u, method, direction):
     assert abs(z) <= 4.0
     # the levels climb: at least one below the event before it is reached
     assert len(sol.pre_levels) >= 2
+
+
+@pytest.mark.parametrize("u", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_gaussian_closed_form_corner(u, rho):
+    # the default solver for a bivariate Gaussian is-t2 corner is the closed
+    # form; its tilt must match the pilot solver's and estimate the corner
+    sigma = np.array([[1.0, rho], [rho, 1.0]])
+    a = brentq(lambda x: np.log(rect_prob_gaussian(sigma, [x, x]) / u), 0.0, 12.0)
+    model = CopulaSpec("gaussian", (NORMAL, NORMAL), sigma=sigma)
+    cfg = ExperimentConfig(model, CornerEvent("upper", (a, a)), "is-t2", n=500, M=200,
+                           seed=SEED)
+    sol = solve_event_theta(cfg)
+    assert sol.method == "tallis-newton" and sol.converged
+    saa = solve_event_theta(cfg, solver="saa")
+    np.testing.assert_allclose(sol.theta_o, saa.theta_o, rtol=0.02)
+    r = replicate(replace(cfg, theta=tuple(sol.theta_o)))
+    assert abs(r.u_hat - u) <= 4.0 * r.se
 
 
 @pytest.mark.parametrize("u", [1e-8, 1e-12])

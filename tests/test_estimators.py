@@ -265,8 +265,6 @@ def test_solver_dispatch():
         solve_event_theta(ExperimentConfig(T_MODEL, upper(6.128), "is-t2"), solver="tallis")
 
 
-@pytest.mark.xfail(strict=True, reason="rect_prob_gaussian stops on an absolute change of "
-                   "1e-9, so the Tallis residual settles at 1.5e-9 above its 1e-10 tolerance")
 def test_tallis_converges_on_case_2_deepest_corner():
     sol = solve_event_theta(ExperimentConfig(gauss_model(0.5), upper(2.395), "is-t2"))
     assert sol.method == "tallis-newton"

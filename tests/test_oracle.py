@@ -1,11 +1,13 @@
 """Reference-probability checks against independent closed forms."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ndtr, stdtr, stdtrit
 
 from tailtilt.errors import FactorizationError, ParameterError, ShapeError, SolverError
 from tailtilt.oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t
+from tailtilt.tilting import truncated_mvn_first_moment
 
 
 def corr(rho: float, d: int = 2) -> np.ndarray:
@@ -84,6 +86,55 @@ def test_tridiagonal_four_dim_case_is_stable():
     assert 0.0 < val < ndtr(-1.428)
     again = rect_prob_gaussian(sigma, [1.428, 1.428, 1.428, 1.428])
     assert val == again
+
+
+def mp_rect2(rho: float, b1: float, b2: float) -> mp.mpf:
+    """P(Z1 > b1, Z2 > b2) in mpmath by Plackett's identity: the rectangle's
+    derivative in the correlation is the bivariate density at (b1, b2), so
+    it is the independent rectangle plus that density integrated from 0 to
+    rho. A negative rho cancels digits; the precision doubles until the
+    integral's error estimate is 1e-14 of the result."""
+    dps = 30
+    while True:
+        with mp.workdps(dps):
+            r, x, y = mp.mpf(rho), mp.mpf(b1), mp.mpf(b2)
+
+            def density(c):
+                return (mp.exp(-(x * x - 2 * c * x * y + y * y) / (2 * (1 - c * c)))
+                        / (2 * mp.pi * mp.sqrt(1 - c * c)))
+
+            part, err = mp.quad(density, mp.linspace(0, r, 17), error=True)
+            val = mp.ncdf(-x) * mp.ncdf(-y) + part
+            if val > 0 and err < mp.mpf(10) ** -14 * val:
+                return +val
+        dps *= 2
+
+
+@pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9])
+def test_bivariate_rectangle_accurate_relative_to_its_value(rho):
+    # equal and unequal thresholds, each pair given in both orders, from two
+    # below the mean down to rectangles of 1e-20 and below; the deepest pairs
+    # are left out where a negative rho would cancel a hundred digits in the
+    # reference
+    pairs = [(-2.0, -0.5), (-1.0, 0.5), (0.5, 1.5), (2.0, 2.0), (1.0, 3.0)]
+    if rho > -0.9:
+        pairs += [(4.5, 4.5), (1.0, 9.5)]
+    if rho >= 0.0:
+        pairs += [(9.0, 9.0)]
+    truths = [mp_rect2(rho, *b) for b in pairs]
+    for b, truth in zip(pairs, truths):
+        for a in (b, b[::-1]):
+            got = rect_prob_gaussian(corr(rho), list(a))
+            assert abs(got - truth) <= 1e-10 * truth, (a, got, truth)
+    assert min(truths) < 1e-20
+
+
+def test_rectangle_past_double_range_raises_in_the_moment():
+    # exp(-40²/2) underflows, so the rectangle is 0 and the moment cannot
+    # divide by it
+    assert rect_prob_gaussian(corr(0.5), [40.0, 40.0]) == 0.0
+    with pytest.raises(SolverError, match="underflowed"):
+        truncated_mvn_first_moment(corr(0.5), [20.0, 20.0], [10.0, 10.0])
 
 
 # ---------------------------------------------------------------------------

@@ -168,3 +168,30 @@ def test_numeric_inverse_that_reaches_its_cap_raises():
 
     with pytest.raises(SolverError, match=r"joe h_inv: 2 of 3 elements .* 5 steps"):
         pairs._iterate_each(creep, (np.array([0.0, 1.0, 2.0]),), (), 1e-12, 5, "joe")
+
+
+@pytest.mark.parametrize("delta", [3.0, 30.0])
+def test_joe_h_func_stays_finite_at_the_upper_corner(delta):
+    # (1 - v)^delta underflows near (1, 1); the closed form divides its
+    # powers and returned NaN there
+    pts = np.array([1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9,
+                    1 - 1e-10, 1 - 1e-12, 1 - 1e-13, 1 - 1e-15])
+    v2, v1 = (g.ravel() for g in np.meshgrid(pts, pts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = h_func(PairCopula("joe", delta=delta), v2, v1)
+    assert np.all(np.isfinite(out))
+    assert out.min() >= 1e-15 and out.max() <= 1.0 - 1e-15
+    # with 1 - v1 ten times below 1 - v2, h is about 0.1^(delta - 1)
+    corner = h_func(PairCopula("joe", delta=delta), [1 - 1e-12], [1 - 1e-13])[0]
+    assert corner == pytest.approx(max(0.1 ** (delta - 1.0), 1e-15), rel=1e-3)
+    # where the direct formula is finite it agrees; away from 0 its 1 - v
+    # rounds by at most 1e-13 relative
+    with np.errstate(all="ignore"):
+        ub, vb = 1.0 - v1, 1.0 - v2
+        s = ub**delta + vb**delta * (1.0 - ub**delta)
+        direct = np.clip(s ** (1.0 / delta - 1.0) * ub ** (delta - 1.0) * (1.0 - vb**delta),
+                         1e-15, 1.0 - 1e-15)
+    ok = np.isfinite(direct)
+    assert ok.sum() >= 100
+    np.testing.assert_allclose(out[ok], direct[ok], rtol=1e-12, atol=0.0)

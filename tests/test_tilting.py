@@ -1,9 +1,12 @@
 """Tilting families: cumulants, samplers, weights, and the tilt solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import ndtr, stdtr
 
 from tailtilt.copulas import CopulaSpec, CornerEvent, rosenblatt_inverse, sample_copula_uniforms
@@ -651,6 +654,30 @@ def test_tallis_solver_correlated_corner():
 def test_tallis_solver_common_event_needs_no_tilt():
     sol = solve_theta_gaussian_tallis(corr(0.0), [-5.0, -5.0])
     assert np.all(np.abs(sol.theta_o) < 0.02)
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5])
+def test_tallis_newton_alone_solves_deep_bivariate_corners(rho):
+    # the rectangle is accurate relative to its value, so one damped Newton
+    # reaches the tolerance down to 1e-18 without a quadrature warning
+    for u in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-18):
+        a = brentq(lambda x: np.log(rect_prob_gaussian(corr(rho), [x, x]) / u), -1.0, 12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_theta_gaussian_tallis(corr(rho), [a, a])
+        assert sol.converged and sol.residual_norm <= 1e-10, (u, sol)
+        assert sol.iterations <= 5
+
+
+def test_tallis_four_dim_tilt_is_pinned():
+    # the tridiagonal 4-d corners of the deep benchmark; d = 3, 4 rectangles
+    # still come from tensor quadrature
+    sigma = np.eye(4) + 0.5 * (np.eye(4, k=1) + np.eye(4, k=-1))
+    for p, want in ((1.428, [1.35107, 0.80589, 0.80589, 1.35106]),
+                    (1.868, [1.66195, 0.95992, 0.95975, 1.66133])):
+        sol = solve_theta_gaussian_tallis(sigma, [p] * 4)
+        assert sol.converged
+        np.testing.assert_allclose(sol.theta_o, want, rtol=0, atol=1e-3)
 
 
 def test_tallis_agrees_with_saa():
