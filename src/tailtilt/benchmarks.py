@@ -18,13 +18,7 @@ import numpy as np
 
 from .copulas import CopulaSpec, CornerEvent, RVineSpec, vine_preset
 from .errors import ConfigError
-from .estimators import (
-    EstimateResult,
-    ExperimentConfig,
-    replicate,
-    sd_eff,
-    solve_event_theta,
-)
+from .estimators import EstimateResult, ExperimentConfig, replicate, sd_eff
 from .randkit import MarginSpec
 
 __all__ = [
@@ -383,7 +377,6 @@ class BenchRow:
     method: str
     p: float
     result: EstimateResult
-    theta: np.ndarray | None
     sd_eff_naive: float | None
 
 
@@ -397,9 +390,12 @@ def run_case(
 ) -> list[BenchRow]:
     """Estimate every requested cell of a benchmark case.
 
-    The crude estimator always runs first at each threshold so the
-    efficiency ratio of each importance sampler can be filled in. Tilts
-    are solved fresh (never copied from the reference columns).
+    The crude estimator runs first at each threshold, unless ``methods``
+    puts it later, so the efficiency ratio of each importance sampler can
+    be filled in. Each cell is one :func:`replicate` call that solves its
+    tilt fresh (never copied from the reference columns) and reports it as
+    ``result.theta``; a solve that does not converge raises
+    :class:`SolverError`.
     """
     case = get_case(key)
     model = case.model()
@@ -415,19 +411,13 @@ def run_case(
         event = CornerEvent("upper", (p,) * model.d)
         naive_res = None
         for method in methods:
-            cfg = ExperimentConfig(model, event, method, n=n, M=M, seed=seed)
+            res = replicate(ExperimentConfig(model, event, method, n=n, M=M, seed=seed))
             if method == "naive":
-                res, theta, eff = replicate(cfg), None, None
-                naive_res = res
+                naive_res, eff = res, None
             else:
-                sol = solve_event_theta(cfg)
-                cfg = ExperimentConfig(model, event, method, n=n, M=M, seed=seed,
-                                       theta=tuple(np.atleast_1d(sol.theta_o)))
-                res = replicate(cfg)
-                theta = np.atleast_1d(sol.theta_o)
                 eff = sd_eff(naive_res, res) if naive_res is not None and res.sd > 0 else None
             rows.append(BenchRow(case=case.key, method=method, p=p, result=res,
-                                 theta=theta, sd_eff_naive=eff))
+                                 sd_eff_naive=eff))
     return rows
 
 
@@ -474,7 +464,7 @@ def format_comparison(key, rows: list[BenchRow]) -> str:
         got = [cell.get((method, p)) for p in p_vals]
         if method != "naive":
             row(f"theta({method}) ref", [_fmt_theta(ref_col(method, "theta", p)) for p in p_vals])
-            row(f"theta({method})", [_fmt_theta(r.theta if r else None) for r in got])
+            row(f"theta({method})", [_fmt_theta(r.result.theta if r else None) for r in got])
         row(f"u({method}) ref", [_sci(ref_col(method, "u", p)) for p in p_vals])
         row(f"u({method})", [_sci(r.result.u_hat if r else None) for r in got])
         row(f"sd({method}) ref", [_sci(ref_col(method, "sd", p)) for p in p_vals])

@@ -24,8 +24,6 @@ import argparse
 import csv
 import json
 import sys
-import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -240,12 +238,10 @@ def _fmt_p(event_or_p) -> str:
 
 
 def _fmt_theta(theta) -> str:
-    if theta is None:
-        return ""
-    return ";".join(repr(float(v)) for v in np.atleast_1d(theta))
+    return "" if theta is None else ";".join(map(repr, theta))
 
 
-def _csv_row(model, p, result, theta, seed) -> dict:
+def _csv_row(model, p, result, seed) -> dict:
     family, params = _model_labels(model)
     return {
         "method": result.method,
@@ -256,7 +252,7 @@ def _csv_row(model, p, result, theta, seed) -> dict:
         "sd": repr(result.sd),
         "seconds": f"{result.seconds:.6f}",
         "wnrv": "" if result.wnrv is None else repr(result.wnrv),
-        "theta": _fmt_theta(theta),
+        "theta": _fmt_theta(result.theta),
         "seed": str(seed),
     }
 
@@ -288,17 +284,6 @@ def _cmd_estimate(opt: dict) -> int:
     cfg = ExperimentConfig(model, event, method, n=opt.get("n", 500),
                            M=opt.get("reps", 5000), seed=seed, theta=opt.get("theta"),
                            route=opt.get("route", "direct"))
-    theta, solve_seconds = None, 0.0
-    if method != "naive":
-        if cfg.theta is None:
-            t0 = time.perf_counter()
-            sol = solve_event_theta(cfg)
-            solve_seconds = time.perf_counter() - t0
-            if not sol.converged:
-                print(f"tilt solver did not converge: {sol.report()}", file=sys.stderr)
-                return 3
-            cfg = replace(cfg, theta=sol.theta_o)
-        theta = tuple(np.atleast_1d(np.asarray(cfg.theta, dtype=np.float64)))
     result = replicate(cfg)
     family, params = _model_labels(model)
     _emit_json({
@@ -306,11 +291,11 @@ def _cmd_estimate(opt: dict) -> int:
         "p": _fmt_p(event), "direction": event.direction, "n": result.n,
         "reps": result.reps, "seed": seed, "u_hat": result.u_hat, "sd": result.sd,
         "se": result.se, "sd_within_run": result.sd_within_run,
-        "seconds": result.seconds, "solve_seconds": solve_seconds, "wnrv": result.wnrv,
-        "theta": None if theta is None else list(theta),
+        "seconds": result.seconds, "solve_seconds": result.solve_seconds,
+        "wnrv": result.wnrv, "theta": None if result.theta is None else list(result.theta),
     }, opt.get("json_out"))
     if opt.get("csv"):
-        _write_rows([_csv_row(model, event, result, theta, seed)], opt["csv"])
+        _write_rows([_csv_row(model, event, result, seed)], opt["csv"])
     return 0
 
 
@@ -376,8 +361,7 @@ def _cmd_bench(opt: dict) -> int:
                         p_values=tuple(opt["p"]) if opt.get("p") else None)
         model = case.model()
         for r in rows:
-            all_rows.append(_csv_row(model, (r.p,) * model.d, r.result, r.theta,
-                                     opt.get("seed", 0)))
+            all_rows.append(_csv_row(model, (r.p,) * model.d, r.result, opt.get("seed", 0)))
     _write_rows(all_rows, opt.get("csv"))
     return 0
 
@@ -390,8 +374,8 @@ def _cmd_reproduce(opt: dict) -> int:
     print(format_comparison(key, rows))
     if opt.get("csv"):
         model = case.model()
-        _write_rows([_csv_row(model, (r.p,) * model.d, r.result, r.theta,
-                              opt.get("seed", 0)) for r in rows], opt["csv"])
+        _write_rows([_csv_row(model, (r.p,) * model.d, r.result, opt.get("seed", 0))
+                     for r in rows], opt["csv"])
     return 0
 
 

@@ -60,7 +60,7 @@ from .copulas import (
     transform_event,
     vine_rosenblatt_inverse,
 )
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import ConfigError, DomainError, ParameterError, SolverError
 from .randkit import make_stream
 from .tilting import (
     TiltFamily,
@@ -95,9 +95,10 @@ class ExperimentConfig:
     """One estimation task: model, corner event, method, and budget.
 
     ``theta`` is the tilt to use; leave it None to have :func:`replicate`
-    solve for it. The crude ``route`` selects between the model's direct
-    sampler and the conditional-inverse chain; importance samplers imply
-    their own route and ignore it.
+    solve for it, and refuse a solve that did not converge. The crude
+    ``route`` selects between the model's direct sampler and the
+    conditional-inverse chain; importance samplers imply their own route
+    and ignore it.
     """
 
     model: CopulaSpec | RVineSpec
@@ -134,8 +135,9 @@ class EstimateResult:
     error and ``sd_within_run`` is set. ``se`` is the standard error of
     ``u_hat``, sd/√M. ``seconds`` times the replications only and
     ``solve_seconds`` the tilt solve :func:`replicate` ran, 0.0 when it ran
-    none. ``wnrv`` uses the estimate itself as reference; :func:`wnrv`
-    computes it against any other.
+    none. ``theta`` is the tilt the replications sampled at, solved or
+    given, and None for the crude estimator. ``wnrv`` uses the estimate
+    itself as reference; :func:`wnrv` computes it against any other.
     """
 
     u_hat: float
@@ -147,6 +149,7 @@ class EstimateResult:
     method: str
     sd_within_run: bool = False
     solve_seconds: float = 0.0
+    theta: tuple[float, ...] | None = None
 
     @property
     def se(self) -> float:
@@ -254,8 +257,8 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
     a = np.asarray(transform_event(model, ev).a_star, dtype=np.float64)
     corner = -a if lower else a
     if model.family == "gaussian":
-        return _score_plan(TiltFamily("mvn-shift", d, sigma=model.sigma),
-                           lambda ts: _row_min(ts.x - corner), lower)
+        f = TiltFamily("mvn-shift", d, sigma=model.sigma, a_star=corner)
+        return _score_plan(f, lambda ts: _row_min(ts.x - corner), lower)
 
     if model.family == "student-t":
         f = TiltFamily("t-gamma-normal", d, sigma=model.sigma, nu=model.nu, a_star=corner)
@@ -295,9 +298,7 @@ def solve_event_theta(cfg: ExperimentConfig, *, solver: str | None = None,
     if cfg.method == "is-ld":
         sol = solve_theta_large_deviation(plan.family, **solver_kw)
     elif solver == "tallis" or (solver is None and gaussian and model.d <= 2):
-        a = np.asarray(transform_event(model, cfg.event).a_star, dtype=np.float64)
-        corner = -a if cfg.event.direction == "lower" else a
-        sol = solve_theta_gaussian_tallis(model.sigma, corner, **solver_kw)
+        sol = solve_theta_gaussian_tallis(plan.family.sigma, plan.family.a_star, **solver_kw)
     else:
         solve = solve_hrt_theta if cfg.method == "is-t3" else solve_theta_saa
         sol = solve(plan.family, plan.indicator, make_stream(cfg.seed, SOLVER_STREAM),
@@ -306,11 +307,15 @@ def solve_event_theta(cfg: ExperimentConfig, *, solver: str | None = None,
 
 
 def _resolve_theta(cfg: ExperimentConfig, plan: _Plan) -> tuple[np.ndarray, float]:
-    """The tilt to sample at and the seconds spent solving for it."""
+    """The tilt to sample at and the seconds spent solving for it; a solve
+    that did not converge raises :class:`SolverError`."""
     if cfg.theta is None:
         t0 = time.perf_counter()
-        theta = np.asarray(solve_event_theta(cfg).theta_o, dtype=np.float64)
-        return theta, time.perf_counter() - t0
+        sol = solve_event_theta(cfg)
+        seconds = time.perf_counter() - t0
+        if not sol.converged:
+            raise SolverError(f"tilt solver did not converge:\n{sol.report()}")
+        return np.atleast_1d(np.asarray(sol.theta_o, dtype=np.float64)), seconds
     th = np.atleast_1d(np.asarray(cfg.theta, dtype=np.float64))
     if cfg.method == "is-t3" and not 0.0 <= th[0] < 1.0:
         raise DomainError(f"hazard twist must lie in [0, 1), got {th[0]:.6g}")
@@ -349,8 +354,10 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     in blocks of about ``_BLOCK_ROWS`` rows that share one event test, and
     each one's estimate is the mean of its own n terms, so the result is
     bit-identical for any block size and ``threads``; more than one thread
-    spreads the blocks over a pool. Solving for the tilt, when requested,
-    happens before the clock starts and is timed on its own as ``solve_seconds``.
+    spreads the blocks over a pool. Solving for the tilt, when ``cfg.theta``
+    is None, happens before the clock starts and is timed on its own as
+    ``solve_seconds``; a solve that did not converge raises
+    :class:`SolverError` carrying the solver's report, and nothing is sampled.
     """
     if threads < 1:
         raise ParameterError(f"thread count must be at least 1, got {threads}")
@@ -396,7 +403,8 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     wn = (sd * sd / (u_hat * u_hat)) * (seconds / M) if u_hat > 0.0 else None
     return EstimateResult(u_hat=u_hat, sd=sd, n=cfg.n, reps=M, seconds=seconds,
                           wnrv=wn, method=cfg.method, sd_within_run=sd_within,
-                          solve_seconds=solve_seconds)
+                          solve_seconds=solve_seconds,
+                          theta=None if theta is None else tuple(map(float, theta)))
 
 
 def sd_eff(a: EstimateResult, b: EstimateResult) -> float:

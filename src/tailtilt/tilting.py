@@ -97,7 +97,9 @@ class TiltFamily:
 
     ``d`` is the number of model coordinates. The tilt vector has length
     ``d`` for most kinds, ``d + 1`` for ``clayton-mo`` (frailty coordinate
-    first), and 1 for ``hazard-rate`` (a single shared twist).
+    first), and 1 for ``hazard-rate`` (a single shared twist). ``a_star``
+    is the latent corner point: ``t-gamma-normal`` needs it for its
+    statistic, and ``mvn-shift`` carries it for the closed-form solver.
     """
 
     kind: str
@@ -121,6 +123,7 @@ class TiltFamily:
                 raise ParameterError(f"degrees of freedom must be finite and > 0, got {self.nu}")
             if self.a_star is None:
                 raise ParameterError("t-gamma-normal requires the corner point a_star")
+        if self.a_star is not None:
             a = np.atleast_1d(np.asarray(self.a_star, dtype=np.float64))
             if a.shape != (self.d,):
                 raise ShapeError(f"a_star shape {a.shape} does not match d={self.d}")
@@ -228,25 +231,22 @@ def _as_theta(f: TiltFamily, theta) -> np.ndarray:
         raise ShapeError(f"tilt vector shape {th.shape} does not match {f.label()}")
     if not np.all(np.isfinite(th)):
         raise DomainError(f"tilt vector must be finite, got {th}")
-    _check_domain(f, th)
+    margin = _margin(f, th)
+    if not margin > 0.0:
+        raise DomainError(f"tilt {th} lies outside the domain of {f.label()}: "
+                          f"its margin {margin:.6g} must be positive")
     return th
 
 
-def _t_ellipsoid_margin(f: TiltFamily, th: np.ndarray) -> float:
-    # positive inside the domain of the t family's cumulant
-    return 1.0 + 2.0 * (th @ f.a_star) / f.nu - (th @ f.sigma @ th) / f.nu
-
-
-def _check_domain(f: TiltFamily, th: np.ndarray) -> None:
+def _margin(f: TiltFamily, th: np.ndarray) -> float:
+    """Positive exactly inside the domain of the cumulant: the t family's
+    ellipsoid 1 + 2θ'a*/ν − θ'Σθ/ν, 1 − θ₀ for the families whose first
+    coordinate twists a gamma or a hazard, and +inf for the others."""
     if f.kind == "t-gamma-normal":
-        margin = _t_ellipsoid_margin(f, th)
-        if not margin > 0.0:
-            raise DomainError(
-                "tilt outside the t family's ellipsoid: "
-                f"1 + 2 theta'a*/nu - theta'Sigma theta/nu = {margin:.6g} must be positive"
-            )
-    elif f.kind in ("clayton-mo", "hazard-rate") and not th[0] < 1.0:
-        raise DomainError(f"{f.label()} needs a first tilt coordinate below 1, got {th[0]:.6g}")
+        return 1.0 + 2.0 * (th @ f.a_star) / f.nu - (th @ f.sigma @ th) / f.nu
+    if f.kind in ("clayton-mo", "hazard-rate"):
+        return 1.0 - th[0]
+    return np.inf
 
 
 def _psi_te(t: np.ndarray) -> np.ndarray:
@@ -291,40 +291,39 @@ def psi(f: TiltFamily, theta) -> float:
     if f.kind == "mvn-shift":
         return float(0.5 * th @ f.sigma @ th)
     if f.kind == "t-gamma-normal":
-        return float(-(f.nu / 2.0) * np.log(_t_ellipsoid_margin(f, th)))
+        return float(-(f.nu / 2.0) * np.log(_margin(f, th)))
     if f.kind == "clayton-mo":
         return float(-np.log1p(-th[0]) / f.delta + np.sum(_psi_te(th[1:])))
     return float(-f.d * np.log1p(-th[0]))
 
 
+def _moments(f: TiltFamily, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the cumulant at a tilt already checked to
+    lie in its domain."""
+    if f.kind == "trunc-exp-product":
+        return _dpsi_te(th), np.diag(_d2psi_te(th))
+    if f.kind == "mvn-shift":
+        return f.sigma @ th, f.sigma.copy()
+    if f.kind == "t-gamma-normal":
+        margin = _margin(f, th)
+        r = (f.sigma @ th - f.a_star) / margin
+        return r, f.sigma / margin + (2.0 / f.nu) * np.outer(r, r)
+    if f.kind == "clayton-mo":
+        t, w = 1.0 - th[0], th[1:]
+        return (np.concatenate(([1.0 / (f.delta * t)], _dpsi_te(w))),
+                np.diag(np.concatenate(([1.0 / (f.delta * t ** 2)], _d2psi_te(w)))))
+    t = 1.0 - th[0]
+    return np.array([f.d / t]), np.array([[f.d / t ** 2]])
+
+
 def grad_psi(f: TiltFamily, theta) -> np.ndarray:
     """Gradient of the cumulant, the tilted mean of the statistic."""
-    th = _as_theta(f, theta)
-    if f.kind == "trunc-exp-product":
-        return _dpsi_te(th)
-    if f.kind == "mvn-shift":
-        return f.sigma @ th
-    if f.kind == "t-gamma-normal":
-        return (f.sigma @ th - f.a_star) / _t_ellipsoid_margin(f, th)
-    if f.kind == "clayton-mo":
-        return np.concatenate(([1.0 / (f.delta * (1.0 - th[0]))], _dpsi_te(th[1:])))
-    return np.array([f.d / (1.0 - th[0])])
+    return _moments(f, _as_theta(f, theta))[0]
 
 
 def hess_psi(f: TiltFamily, theta) -> np.ndarray:
     """Hessian of the cumulant, the tilted covariance of the statistic."""
-    th = _as_theta(f, theta)
-    if f.kind == "trunc-exp-product":
-        return np.diag(_d2psi_te(th))
-    if f.kind == "mvn-shift":
-        return f.sigma.copy()
-    if f.kind == "t-gamma-normal":
-        margin = _t_ellipsoid_margin(f, th)
-        r = (f.sigma @ th - f.a_star) / margin
-        return f.sigma / margin + (2.0 / f.nu) * np.outer(r, r)
-    if f.kind == "clayton-mo":
-        return np.diag(np.concatenate(([1.0 / (f.delta * (1.0 - th[0]) ** 2)], _d2psi_te(th[1:]))))
-    return np.array([[f.d / (1.0 - th[0]) ** 2]])
+    return _moments(f, _as_theta(f, theta))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +356,7 @@ def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSampl
         x = sample_mvn(s, f.sigma @ th, f.sigma, n)
         stat, latent = x, (x,)
     elif f.kind == "t-gamma-normal":
-        rate = _t_ellipsoid_margin(f, th) / 2.0
+        rate = _margin(f, th) / 2.0
         y = sample_gamma(s, f.nu / 2.0, rate, n)
         z = sample_mvn(s, 0.0, f.sigma, n)
         r = np.sqrt(y / f.nu)
@@ -514,7 +513,7 @@ def _fraction_to_boundary(f: TiltFamily, th: np.ndarray, step: np.ndarray) -> fl
     if f.kind == "t-gamma-normal":
         c2 = -(step @ f.sigma @ step) / f.nu
         c1 = 2.0 * (step @ (f.a_star - f.sigma @ th)) / f.nu
-        c0 = _t_ellipsoid_margin(f, th)
+        c0 = _margin(f, th)
         if c2 >= -1e-300:
             return np.inf if c1 >= 0 else -c0 / c1
         disc = c1 * c1 - 4.0 * c2 * c0
@@ -539,12 +538,13 @@ def _newton_minimize_log_g(
     for it in range(max_iters + 1):
         p = _softmax(lw - stat @ th)
         mu = p @ stat
-        g = grad_psi(f, th) - mu
+        dpsi, d2psi = _moments(f, th)
+        g = dpsi - mu
         gnorm = float(np.linalg.norm(g))
         if gnorm <= _NEWTON_TOL or it == max_iters:
             return th, gnorm, it, gnorm <= _NEWTON_TOL
         cov = (stat * p[:, None]).T @ stat - np.outer(mu, mu)
-        H = hess_psi(f, th) + 0.5 * (cov + cov.T)
+        H = d2psi + 0.5 * (cov + cov.T)
         jitter = 0.0
         while True:
             try:

@@ -57,8 +57,8 @@ def test_run_case_reduced():
     rows = run_case("7", M=60, n=300, p_values=(0.394,))
     assert [r.method for r in rows] == ["naive", "is-t2"]
     t2 = rows[1]
-    assert t2.theta is not None and t2.theta.shape == (4,)
-    assert np.allclose(t2.theta, [0.70, 0.47, 0.47, 0.70], atol=0.08)
+    assert t2.result.theta is not None and len(t2.result.theta) == 4
+    assert np.allclose(t2.result.theta, [0.70, 0.47, 0.47, 0.70], atol=0.08)
     assert t2.sd_eff_naive is not None and t2.sd_eff_naive > 1.0
     text = format_comparison("7", rows)
     assert "4.54E-03" in text and "u(is-t2) ref" in text

@@ -2,11 +2,13 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from tailtilt import estimators
 from tailtilt.cli import CSV_COLUMNS, main
 from tailtilt.oracle import clayton_corner_prob
 
@@ -191,6 +193,22 @@ def test_solver_failure_exit_code(capsys):
                     "--method", "is-t3")
     assert code == 3
     assert out == ""
+
+
+def test_unconverged_tilt_exits_3_before_any_row(capsys, monkeypatch, tmp_path):
+    real = estimators.solve_event_theta
+    monkeypatch.setattr(estimators, "solve_event_theta",
+                        lambda cfg, **kw: replace(real(cfg, **kw), converged=False))
+    rows = tmp_path / "rows.csv"
+    for argv in (("bench", "--table", "1", "--methods", "is-t2", "--p", "1.282"),
+                 ("estimate", "--copula", "gaussian", "--rho", "0", "--p", "1.282",
+                  "--method", "is-t2")):
+        code = main(list(argv) + ["--reps", "4", "--csv", str(rows)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "did not converge" in captured.err
+    assert not rows.exists()
 
 
 def test_estimate_on_case_2_deepest_corner(capsys):

@@ -1,6 +1,7 @@
 """Estimation methods, replication engine, efficiency metrics."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tailtilt.copulas import (
     vine_preset,
     vine_rosenblatt_forward,
 )
-from tailtilt.errors import ConfigError, DomainError, ParameterError, ShapeError
+from tailtilt.errors import ConfigError, DomainError, ParameterError, ShapeError, SolverError
 from tailtilt.estimators import (
     _FIRST_COLUMN_SLACK,
     EstimateResult,
@@ -313,6 +314,7 @@ def test_replicate_single_run_flagged():
     assert r.sd > 0.0
     assert r.reps == 1
     assert r.se == r.sd
+    assert r.theta is None and r.solve_seconds == 0.0
 
 
 def test_replicate_correlated_gaussian_example():
@@ -335,6 +337,45 @@ def test_replicate_solves_when_theta_missing():
     assert r.se == r.sd / np.sqrt(r.reps)
     assert abs(r.u_hat - truth) < 4.0 * r.se
     assert r.solve_seconds > 0.0
+
+
+def test_replicate_refuses_an_unconverged_solve(monkeypatch):
+    real = estimators.solve_event_theta
+    drawn = []
+    monkeypatch.setattr(estimators, "solve_event_theta",
+                        lambda cfg, **kw: replace(real(cfg, **kw), converged=False))
+    monkeypatch.setattr(estimators, "make_stream",
+                        lambda *a: drawn.append(a) or make_stream(*a))
+    cfg = ExperimentConfig(gauss_model(), upper(1.282), "is-t2", n=100, M=4, seed=516)
+    with pytest.raises(SolverError, match="did not converge") as exc:
+        replicate(cfg)
+    assert "converged: False" in str(exc.value)  # the solver's report
+    assert drawn == []  # nothing was sampled
+    # a given tilt runs no solve, so nothing is refused
+    assert replicate(replace(cfg, theta=(1.58, 1.58))).theta == (1.58, 1.58)
+
+
+REPORTED_TILT_CASES = {
+    "is-t1": (gauss_model(), upper(1.282), "is-t1"),
+    "is-t2-closed-form": (gauss_model(0.5), upper(1.282), "is-t2"),
+    "is-t2-t": (T_MODEL, upper(6.128), "is-t2"),
+    "is-t3": (gauss_model(), upper(1.857), "is-t3"),
+    "is-ld": (T_MODEL, upper(6.128), "is-ld"),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTED_TILT_CASES))
+def test_replicate_reports_the_tilt_it_sampled_at(name):
+    model, ev, method = REPORTED_TILT_CASES[name]
+    cfg = ExperimentConfig(model, ev, method, n=200, M=20, seed=517)
+    solved = replicate(cfg)
+    sol = solve_event_theta(cfg)
+    assert sol.converged
+    assert solved.theta == tuple(np.atleast_1d(sol.theta_o).tolist())  # bit for bit
+    assert solved.solve_seconds > 0.0
+    given = replicate(replace(cfg, theta=solved.theta))
+    assert given.theta == solved.theta and given.solve_seconds == 0.0
+    assert (given.u_hat, given.sd) == (solved.u_hat, solved.sd)
 
 
 def test_vine_estimates_agree():
