@@ -33,7 +33,7 @@ from .copulas import CopulaSpec, CornerEvent, transform_event, vine_preset
 from .errors import ConfigError, DegeneratePilotError, SolverError, TailTiltError
 from .estimators import ExperimentConfig, replicate, solve_event_theta
 from .oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t, vine_corner_prob
-from .randkit import MarginSpec, margin_cdf
+from .randkit import MarginSpec, _check_real, margin_cdf
 
 CSV_COLUMNS = ("method", "family", "params", "p", "u_hat", "sd",
                "seconds", "wnrv", "theta", "seed")
@@ -188,10 +188,7 @@ def _build_model(opt: dict):
         return CopulaSpec("clayton", (_build_margin(opt),) * opt.get("dim", 2),
                           delta=_require(opt, "delta"))
     if opt.get("sigma") is not None:
-        try:
-            sigma = np.asarray(opt["sigma"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"--sigma must be a JSON matrix: {exc}")
+        sigma = _check_real(opt["sigma"], "--sigma", array=True)
         d = sigma.shape[0] if sigma.ndim == 2 else 0
     else:
         rho = _require(opt, "rho")

@@ -25,6 +25,7 @@ from ..randkit import (
     MarginSpec,
     RngStream,
     _check_clayton_delta,
+    _check_real,
     _check_sigma,
     _check_size,
     _cholesky,
@@ -71,7 +72,7 @@ class CopulaSpec:
             if self.sigma is None:
                 raise ParameterError(f"{self.family} copula requires a correlation matrix")
             object.__setattr__(self, "sigma", _check_sigma(self.sigma, d, unit_diag=True))
-        if self.family == "student-t" and not 0.0 < self.nu < np.inf:
+        if self.family == "student-t" and not 0.0 < _check_real(self.nu, "nu") < np.inf:
             raise ParameterError(f"degrees of freedom must be finite and positive, got {self.nu}")
         if self.family == "clayton":
             _check_clayton_delta(self.delta, "clayton")
@@ -97,13 +98,11 @@ class CornerEvent:
     def __post_init__(self):
         if self.direction not in ("upper", "lower"):
             raise ParameterError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
-        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=np.float64)))
+        object.__setattr__(self, "a", _check_real(self.a, "thresholds a", array=True))
         if not np.all(np.isfinite(self.a)):
             raise DomainError(f"thresholds must be finite, got {self.a}")
         if self.a_star is not None:
-            object.__setattr__(
-                self, "a_star", np.atleast_1d(np.asarray(self.a_star, dtype=np.float64))
-            )
+            object.__setattr__(self, "a_star", _check_real(self.a_star, "a_star", array=True))
 
 
 def transform_event(c: CopulaSpec, e: CornerEvent) -> CornerEvent:

@@ -271,8 +271,7 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
                        lambda ts: _row_min(ts.x - u0), False)
 
 
-def solve_event_theta(cfg: ExperimentConfig, *, solver: str | None = None,
-                      **solver_kw) -> TiltSolution:
+def solve_event_theta(cfg: ExperimentConfig, *, solver: str | None = None) -> TiltSolution:
     """Solve for the method's tilt on this model and event.
 
     The default picks the deterministic closed-form solver for bivariate
@@ -282,8 +281,8 @@ def solve_event_theta(cfg: ExperimentConfig, *, solver: str | None = None,
     is-t3 runs over the scalar hazard twist. Pass
     ``solver="saa"`` to force the pilot solver, or ``solver="tallis"`` to
     insist on the closed-form one; a solver that does not fit the method
-    raises :class:`ConfigError`. Extra keywords go to the chosen solver.
-    The pilot is drawn from ``make_stream(cfg.seed, SOLVER_STREAM)``.
+    raises :class:`ConfigError`. The pre-tilt and the pilot are drawn from
+    ``make_stream(cfg.seed, SOLVER_STREAM)``.
     """
     if cfg.method == "naive":
         raise ConfigError("the crude estimator uses no tilt")
@@ -296,13 +295,13 @@ def solve_event_theta(cfg: ExperimentConfig, *, solver: str | None = None,
                           "fits every method but is-ld, 'tallis' Gaussian corners under is-t2")
 
     if cfg.method == "is-ld":
-        sol = solve_theta_large_deviation(plan.family, **solver_kw)
+        sol = solve_theta_large_deviation(plan.family)
     elif solver == "tallis" or (solver is None and gaussian and model.d <= 2):
-        sol = solve_theta_gaussian_tallis(plan.family.sigma, plan.family.a_star, **solver_kw)
+        sol = solve_theta_gaussian_tallis(plan.family.sigma, plan.family.a_star)
     else:
         solve = solve_hrt_theta if cfg.method == "is-t3" else solve_theta_saa
         sol = solve(plan.family, plan.indicator, make_stream(cfg.seed, SOLVER_STREAM),
-                    score=plan.score, **solver_kw)
+                    plan.score)
     return replace(sol, reflected=plan.reflected)
 
 
@@ -319,7 +318,10 @@ def _resolve_theta(cfg: ExperimentConfig, plan: _Plan) -> tuple[np.ndarray, floa
     th = np.atleast_1d(np.asarray(cfg.theta, dtype=np.float64))
     if cfg.method == "is-t3" and not 0.0 <= th[0] < 1.0:
         raise DomainError(f"hazard twist must lie in [0, 1), got {th[0]:.6g}")
-    psi(plan.family, th)  # validates shape and domain
+    with np.errstate(over="ignore"):
+        log_mgf = psi(plan.family, th)  # validates shape and domain
+    if not np.isfinite(log_mgf):
+        raise DomainError(f"the cumulant of {plan.family.label()} is not finite at tilt {th}")
     return th, 0.0
 
 

@@ -37,6 +37,7 @@ __all__ = [
 _U64_MAX = np.uint64(2**64 - 1)
 _SHIFT11 = np.uint64(11)
 _INV_2_53 = 2.0**-53
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 
 @dataclass
@@ -57,9 +58,11 @@ class RngStream:
         return self._gen.integers(0, _U64_MAX, size=n, dtype=np.uint64, endpoint=True)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles strictly inside (0,1), one word per draw."""
+        """``n`` doubles strictly inside (0,1), one word per draw; the top
+        2¹¹ words, whose midpoint rounds to 1, give the largest double below 1."""
         w = self._raw(n)
-        return ((w >> _SHIFT11).astype(np.float64) + 0.5) * _INV_2_53
+        u = ((w >> _SHIFT11).astype(np.float64) + 0.5) * _INV_2_53
+        return np.minimum(u, _BELOW_ONE, out=u)
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals by quantile inversion (one word each)."""
@@ -91,9 +94,9 @@ class MarginSpec:
     def __post_init__(self):
         if self.family not in ("std-normal", "exponential", "student-t", "uniform01"):
             raise ParameterError(f"unknown margin family {self.family!r}")
-        if self.family == "exponential" and not self.rate > 0:
+        if self.family == "exponential" and not _check_real(self.rate, "rate") > 0:
             raise ParameterError(f"exponential rate must be positive, got {self.rate}")
-        if self.family == "student-t" and not self.df > 0:
+        if self.family == "student-t" and not _check_real(self.df, "df") > 0:
             raise ParameterError(f"student-t df must be positive, got {self.df}")
 
     def label(self) -> str:
@@ -135,17 +138,23 @@ def margin_quantile(m: MarginSpec, q):
 
 
 def _trunc_exp_inverse_cdf(u: np.ndarray, t: float) -> np.ndarray:
-    """Inverse CDF of density ∝ e^{t·v} on (0,1), stable for any finite t."""
+    """Inverse CDF of density ∝ e^{t·v} on (0,1) for any finite t: within an
+    ulp or two at both ends of (0,1), and never rounded up to 1."""
     if abs(t) < 1e-6:
         # second-order expansion of log1p(u·expm1(t))/t; the t=0 case
         # returns u exactly, which downstream bit-identity checks rely on
         return u + t * (u * (1.0 - u) / 2.0 + t * (u / 6.0 - u * u / 2.0 + u**3 / 3.0))
-    if t > 0:
-        if t <= 500.0:
-            return np.log1p(u * np.expm1(t)) / t
+    if t < 0:
+        # log1p(x) keeps v near 0; where x = u·expm1(t) nears −1 the product
+        # has lost the small 1 + x, which (1 − u) + u·e^t sums without loss
+        x = u * np.expm1(t)
+        v = np.where(x > -0.5, np.log1p(x), np.log((1.0 - u) + u * np.exp(t))) / t
+    elif t <= 500.0:
+        v = np.log1p(u * np.expm1(t)) / t
+    else:
         # 1 + u(e^t - 1) = e^t (u + (1-u)e^{-t}); avoids overflow
-        return 1.0 + np.log(u + (1.0 - u) * np.exp(-t)) / t
-    return 1.0 - _trunc_exp_inverse_cdf(1.0 - u, -t)
+        v = 1.0 + np.log(u + (1.0 - u) * np.exp(-t)) / t
+    return np.minimum(v, _BELOW_ONE, out=v)
 
 
 def sample_gamma(s: RngStream, shape: float, rate: float, n: int = 1) -> np.ndarray:
@@ -211,10 +220,23 @@ def _check_size(n) -> None:
         raise ParameterError(f"sample size must be an integer of at least 1, got {n!r}")
 
 
+def _check_real(value, name: str, *, array: bool = False) -> np.ndarray | float:
+    """``value`` as floats: one real number, or an array of at least one
+    dimension if ``array``; strings, booleans and ragged nesting are refused."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not (array or arr.ndim == 0):
+        raise ParameterError(f"{name} must be real {'numbers' if array else 'number'}, "
+                             f"got {value!r}")
+    return np.atleast_1d(arr.astype(np.float64, copy=False)) if array else float(arr)
+
+
 def _check_sigma(sigma, d: int, *, unit_diag: bool) -> np.ndarray:
     """``sigma`` as a float array, checked to be a symmetric positive definite
     d×d matrix, and a correlation matrix when ``unit_diag``."""
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma = _check_real(sigma, "sigma", array=True)
     if sigma.shape != (d, d):
         raise ShapeError(f"covariance shape {sigma.shape} does not match d={d}")
     if not np.allclose(sigma, sigma.T, atol=1e-12):
@@ -228,6 +250,7 @@ def _check_sigma(sigma, d: int, *, unit_diag: bool) -> np.ndarray:
 def _check_clayton_delta(delta: float, what: str) -> None:
     """Reject a Clayton parameter unless it and its reciprocal, the shape of
     the frailty's gamma law, are finite and positive."""
+    _check_real(delta, f"{what} delta")
     if not (0.0 < delta < np.inf and 1.0 / float(delta) < np.inf):
         raise ParameterError(f"{what} parameter must be finite and positive, with a "
                              f"finite reciprocal, got {delta}")

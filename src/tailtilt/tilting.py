@@ -52,8 +52,8 @@ from .errors import (
     SolverError,
 )
 from .oracle import rect_prob_gaussian
-from .randkit import (RngStream, _check_clayton_delta, _check_sigma, _check_size,
-                      _trunc_exp_inverse_cdf, sample_gamma, sample_mvn)
+from .randkit import (RngStream, _check_clayton_delta, _check_real, _check_sigma,
+                      _check_size, _trunc_exp_inverse_cdf, sample_gamma, sample_mvn)
 
 __all__ = [
     "TiltFamily",
@@ -77,9 +77,12 @@ __all__ = [
 _KINDS = ("trunc-exp-product", "mvn-shift", "t-gamma-normal", "clayton-mo", "hazard-rate")
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# pilot solver: pilot draws and gradient-norm tolerance on log Ĝ
+# pilot solver: pilot draws, the fewest event hits it may carry, and the
+# gradient-norm tolerance and step cap of its damped Newton on log Ĝ
 _N_PILOT = 20_000
+_PILOT_MIN_HITS = 200
 _NEWTON_TOL = 1e-6
+_NEWTON_MAX_ITERS = 100
 # cross-entropy pre-tilt: rows per level, elite fraction ρ and level cap; the
 # chain scores map every row, so more rows per level cost the vines more
 # than the pilot they save
@@ -119,12 +122,12 @@ class TiltFamily:
                 raise ParameterError(f"{self.kind} requires a covariance matrix")
             object.__setattr__(self, "sigma", _check_sigma(self.sigma, self.d, unit_diag=False))
         if self.kind == "t-gamma-normal":
-            if not 0.0 < self.nu < np.inf:
+            if not 0.0 < _check_real(self.nu, "nu") < np.inf:
                 raise ParameterError(f"degrees of freedom must be finite and > 0, got {self.nu}")
             if self.a_star is None:
                 raise ParameterError("t-gamma-normal requires the corner point a_star")
         if self.a_star is not None:
-            a = np.atleast_1d(np.asarray(self.a_star, dtype=np.float64))
+            a = _check_real(self.a_star, "a_star", array=True)
             if a.shape != (self.d,):
                 raise ShapeError(f"a_star shape {a.shape} does not match d={self.d}")
             if not np.all(np.isfinite(a)):
@@ -172,15 +175,18 @@ class TiltedSample:
 class Pilot:
     """A frozen pilot: statistic rows and log weights of the event hits.
 
-    ``size`` counts every draw of the pilot, hits or not; weighted averages
-    over the hit rows divide by it. ``log_weight`` is log dP/dQ at each hit
-    under the proposal the pilot was drawn from.
+    ``size`` counts every draw of the pilot, ``hits`` only the rows kept;
+    weighted averages over the hit rows divide by ``size``. ``log_weight`` is
+    log dP/dQ at each hit under the proposal the pilot was drawn from.
     """
 
     stat: np.ndarray
     log_weight: np.ndarray
     size: int
-    hits: int
+
+    @property
+    def hits(self) -> int:
+        return len(self.log_weight)
 
 
 @dataclass(frozen=True)
@@ -249,25 +255,29 @@ def _margin(f: TiltFamily, th: np.ndarray) -> float:
     return np.inf
 
 
+# the trunc-exp moments: a series for small |t|, a closed form elsewhere, each
+# fed t only where it is used, so that huge tilts overflow nothing
 def _psi_te(t: np.ndarray) -> np.ndarray:
-    """ln((e^t - 1)/t) per component, stable across signs and magnitudes."""
+    """ln((e^t - 1)/t) per component, accurate relative to its value for
+    either sign and any magnitude."""
     t = np.asarray(t, dtype=np.float64)
-    a = np.abs(t)
-    small = a < 1e-4
-    asafe = np.where(small, 1.0, a)
-    big = asafe + np.log1p(-np.exp(-asafe)) - np.log(asafe)
-    series = t / 2.0 + t * t / 24.0 - t**4 / 2880.0
-    return np.where(small, series, big + np.minimum(t, 0.0))
+    small = np.abs(t) < 1e-4
+    ts, a = np.where(small, t, 0.0), np.where(small, 1.0, np.abs(t))
+    series = ts / 2.0 + ts * ts / 24.0 - ts**4 / 2880.0
+    # (e^t - 1)/t = e^{max(t, 0)} (1 - e^{-|t|})/|t|; no e^t to add back for t < 0
+    tail, log_a = np.log1p(-np.exp(-a)), np.log(a)
+    big = np.where(t > 0.0, a + tail - log_a, tail - log_a)
+    return np.where(small, series, big)
 
 
 def _dpsi_te(t: np.ndarray) -> np.ndarray:
     """Mean of the tilted uniform, e^t/(e^t - 1) - 1/t."""
     t = np.asarray(t, dtype=np.float64)
     small = np.abs(t) < 1e-4
-    tsafe = np.where(small, 1.0, t)
+    ts, tsafe = np.where(small, t, 0.0), np.where(small, 1.0, t)
     with np.errstate(over="ignore"):
         exact = 1.0 / (-np.expm1(-tsafe)) - 1.0 / tsafe
-    series = 0.5 + t / 12.0 - t**3 / 720.0
+    series = 0.5 + ts / 12.0 - ts**3 / 720.0
     return np.where(small, series, exact)
 
 
@@ -275,11 +285,11 @@ def _d2psi_te(t: np.ndarray) -> np.ndarray:
     """Variance of the tilted uniform, 1/t^2 - e^t/(e^t - 1)^2."""
     t = np.asarray(t, dtype=np.float64)
     small = np.abs(t) < 0.05
-    tsafe = np.where(small, 1.0, t)
+    ts, tsafe = np.where(small, t, 0.0), np.where(small, 1.0, t)
     half = np.minimum(np.abs(tsafe) / 2.0, 400.0)
     with np.errstate(over="ignore"):
         exact = 1.0 / (tsafe * tsafe) - 1.0 / (4.0 * np.sinh(half) ** 2)
-    series = 1.0 / 12.0 - t * t / 240.0 + t**4 / 6048.0
+    series = 1.0 / 12.0 - ts * ts / 240.0 + ts**4 / 6048.0
     return np.where(small, series, exact)
 
 
@@ -394,12 +404,7 @@ def draw_pilot(f: TiltFamily, indicator, s: RngStream, n: int, proposal_theta) -
     keep = np.asarray(indicator(ts), dtype=bool)
     if keep.shape != (n,):
         raise ShapeError(f"indicator returned shape {keep.shape} for {n} draws")
-    return Pilot(
-        stat=ts.stat[keep],
-        log_weight=ts.log_lr[keep],
-        size=n,
-        hits=int(np.count_nonzero(keep)),
-    )
+    return Pilot(stat=ts.stat[keep], log_weight=ts.log_lr[keep], size=n)
 
 
 def G_hat(f: TiltFamily, theta, pilot: Pilot) -> float:
@@ -463,14 +468,14 @@ def first_order_gap(f: TiltFamily, theta, pilot: Pilot) -> tuple[np.ndarray, np.
 # pilot at stat = m, so the pilot's own damped Newton solves it from θ = 0.
 
 
-def _match_mean(f: TiltFamily, m: np.ndarray, max_iters: int) -> np.ndarray:
+def _match_mean(f: TiltFamily, m: np.ndarray) -> np.ndarray:
     """Solve grad_psi(θ) = m for θ, the moment-matching pre-tilt."""
-    pilot = Pilot(stat=m[None, :], log_weight=np.zeros(1), size=1, hits=1)
-    return _newton_minimize_log_g(f, pilot, np.zeros(f.theta_dim), max_iters)[0]
+    pilot = Pilot(stat=m[None, :], log_weight=np.zeros(1), size=1)
+    return _newton_minimize_log_g(f, pilot, np.zeros(f.theta_dim))[0]
 
 
 def _cross_entropy_pre_tilt(
-    f: TiltFamily, score, s: RngStream, max_iters: int
+    f: TiltFamily, score, s: RngStream
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     """Cross-entropy levels from θ = 0 up to the event {score > 0}.
 
@@ -495,7 +500,7 @@ def _cross_entropy_pre_tilt(
         gammas.append(gamma)
         elite = sc >= gamma
         m = _softmax(ts.log_lr[elite]) @ ts.stat[elite]
-        theta = _match_mean(f, m, max_iters)
+        theta = _match_mean(f, m)
         if gamma == 0.0:
             return theta, tuple(gammas)
     raise DegeneratePilotError(
@@ -524,9 +529,10 @@ def _fraction_to_boundary(f: TiltFamily, th: np.ndarray, step: np.ndarray) -> fl
 
 
 def _newton_minimize_log_g(
-    f: TiltFamily, pilot: Pilot, theta0: np.ndarray, max_iters: int
+    f: TiltFamily, pilot: Pilot, theta0: np.ndarray
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Newton descent of log Ĝ from ``theta0``.
+    """Damped Newton descent of log Ĝ from ``theta0``, at most
+    ``_NEWTON_MAX_ITERS`` steps.
 
     Returns (theta, gradient norm of log Ĝ, iterations, converged). The
     surface is convex, so the Hessian only needs jitter against roundoff.
@@ -535,13 +541,13 @@ def _newton_minimize_log_g(
     lw = pilot.log_weight
     th = theta0.astype(np.float64).copy()
     fval = _log_g(f, th, pilot)
-    for it in range(max_iters + 1):
+    for it in range(_NEWTON_MAX_ITERS + 1):
         p = _softmax(lw - stat @ th)
         mu = p @ stat
         dpsi, d2psi = _moments(f, th)
         g = dpsi - mu
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= _NEWTON_TOL or it == max_iters:
+        if gnorm <= _NEWTON_TOL or it == _NEWTON_MAX_ITERS:
             return th, gnorm, it, gnorm <= _NEWTON_TOL
         cov = (stat * p[:, None]).T @ stat - np.outer(mu, mu)
         H = d2psi + 0.5 * (cov + cov.T)
@@ -569,16 +575,7 @@ def _newton_minimize_log_g(
             return th, gnorm, it + 1, False
 
 
-def solve_theta_saa(
-    f: TiltFamily,
-    indicator,
-    s: RngStream,
-    *,
-    score=None,
-    pre_theta=None,
-    pilot_min_hits: int = 200,
-    max_iters: int = 100,
-) -> TiltSolution:
+def solve_theta_saa(f: TiltFamily, indicator, s: RngStream, score) -> TiltSolution:
     """Minimize the pilot estimate of the second-moment proxy G.
 
     The pilot proposal comes from a cross-entropy pre-tilt on ``score``, a
@@ -589,68 +586,43 @@ def solve_theta_saa(
     statistic over the rows scoring ≥ γ, by the same damped Newton run on a
     one-row pilot; the levels stop at γ = 0. A γ no higher than two levels
     back, or 40 levels, raises :class:`DegeneratePilotError` naming the
-    level. ``pre_theta`` replaces that stage, and one of the two is
-    required. The pilot draws 20,000 rows at the pre-tilt, topped up once
-    with three times as many when short of ``pilot_min_hits`` hits. Damped
-    Newton then descends log Ĝ from the pre-tilt until the gradient norm of
-    log Ĝ, a tolerance relative to Ĝ, is at most 1e-6.
+    level. The pilot is one draw of 20,000 rows at the pre-tilt; fewer than
+    200 hits raises :class:`DegeneratePilotError`. Damped Newton then
+    descends log Ĝ from the pre-tilt, for at most 100 steps, until the
+    gradient norm of log Ĝ, a tolerance relative to Ĝ, is at most 1e-6.
 
     ``indicator`` receives a :class:`TiltedSample` and must return one
     boolean per row; it should already describe an upper-corner event, with
     any reflection applied, and recorded on the solution, by the caller.
     """
-    if pre_theta is not None:
-        theta_hat, levels = _as_theta(f, pre_theta), ()
-    elif score is not None:
-        theta_hat, levels = _cross_entropy_pre_tilt(f, score, s, max_iters)
-    else:
-        raise ParameterError("the pilot solver needs a score for its cross-entropy "
-                             "pre-tilt, or a pre_theta")
-
+    theta_hat, levels = _cross_entropy_pre_tilt(f, score, s)
     pilot = draw_pilot(f, indicator, s, _N_PILOT, theta_hat)
-    if pilot.hits < pilot_min_hits:
-        extra = draw_pilot(f, indicator, s, 3 * _N_PILOT, theta_hat)
-        pilot = Pilot(
-            stat=np.vstack([pilot.stat, extra.stat]),
-            log_weight=np.concatenate([pilot.log_weight, extra.log_weight]),
-            size=pilot.size + extra.size,
-            hits=pilot.hits + extra.hits,
-        )
-    if pilot.hits < pilot_min_hits:
+    if pilot.hits < _PILOT_MIN_HITS:
         raise DegeneratePilotError(
             f"pilot proposal produced {pilot.hits} event hits of {pilot.size} draws, "
-            f"below the required {pilot_min_hits}"
+            f"below the required {_PILOT_MIN_HITS}"
         )
-    theta, gnorm, iters, converged = _newton_minimize_log_g(f, pilot, theta_hat, max_iters)
+    theta, gnorm, iters, converged = _newton_minimize_log_g(f, pilot, theta_hat)
     g_val = float(np.exp(_log_g(f, theta, pilot)))
-    return TiltSolution(
-        theta_o=theta,
-        method="saa",
-        residual_norm=gnorm * g_val,
-        iterations=iters,
-        pilot_size=pilot.size,
-        pilot_hits=pilot.hits,
-        G_hat_at_solution=g_val,
-        converged=converged,
-        pre_levels=levels,
-    )
+    return TiltSolution(theta_o=theta, method="saa", residual_norm=gnorm * g_val,
+                        iterations=iters, pilot_size=pilot.size, pilot_hits=pilot.hits,
+                        G_hat_at_solution=g_val, converged=converged, pre_levels=levels)
 
 
-def solve_hrt_theta(f: TiltFamily, indicator, s: RngStream, **kw) -> TiltSolution:
+def solve_hrt_theta(f: TiltFamily, indicator, s: RngStream, score) -> TiltSolution:
     """Minimize the pilot second-moment proxy over the scalar twist in [0, 1).
 
     The hazard twist is the one-parameter case of :func:`solve_theta_saa`,
-    which does the work with ``kw``, so it needs the ``score`` of its
-    cross-entropy pre-tilt or a ``pre_theta``; the cross-entropy levels may
-    pass through negative twists. The solution is labelled ``"hrt"``. Ĝ
-    is convex, so when Newton's minimum lies below 0 the minimum over
-    [0, 1) is at 0 and the twist is projected there. ``G_hat_at_solution``
-    and ``residual_norm`` are then still those at Newton's minimum, not
-    at 0.
+    which does the work, cross-entropy pre-tilt on ``score`` included; the
+    levels may pass through negative twists. The solution is labelled
+    ``"hrt"``. Ĝ is convex, so when Newton's minimum lies below 0 the
+    minimum over [0, 1) is at 0 and the twist is projected there.
+    ``G_hat_at_solution`` and ``residual_norm`` are then still those at
+    Newton's minimum, not at 0.
     """
     if f.kind != "hazard-rate":
         raise ParameterError(f"hazard twist solver applies to hazard-rate, not {f.kind}")
-    sol = solve_theta_saa(f, indicator, s, **kw)
+    sol = solve_theta_saa(f, indicator, s, score)
     return replace(sol, theta_o=np.maximum(sol.theta_o, 0.0), method="hrt")
 
 

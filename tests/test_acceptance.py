@@ -299,20 +299,13 @@ def _fd_grad(f, theta, h=1e-6):
     return g
 
 
-def _per_draw_ratios(model, events, u_refs, method, power, chain):
-    """Per-draw relative variance of one estimator across event depths."""
+def _per_draw_ratios(model, events, u_refs, method, power):
+    """Per-draw relative variance of one estimator across event depths, each
+    at the tilt ``replicate`` solves for it."""
     ratios = []
-    pre = None
     for event, u_ref in zip(events, u_refs):
-        cfg = ExperimentConfig(model=model, event=event, method=method,
-                               n=N, M=1500, seed=SEED)
-        kw = {"pre_theta": pre} if (chain and pre is not None) else {}
-        sol = solve_event_theta(cfg, **kw)
-        pre = sol.theta_o
-        cfg = ExperimentConfig(model=model, event=event, method=method, n=N,
-                               M=1500, seed=SEED,
-                               theta=tuple(np.atleast_1d(sol.theta_o)))
-        res = replicate(cfg)
+        res = replicate(ExperimentConfig(model=model, event=event, method=method,
+                                         n=N, M=1500, seed=SEED))
         ratios.append(N * res.sd ** 2 / u_ref ** power)
     return ratios
 
@@ -329,22 +322,22 @@ def test_criterion_7_relative_error_bands(emit):
                       0.3, 60.0) for u in targets]
     t_events = [CornerEvent("upper", (float(stdtr(5.0, c)),) * 2) for c in corners]
     t_refs = [rect_prob_t(5.0, eye, np.array([c, c])) for c in corners]
-    bands["t is-t2"] = _per_draw_ratios(tmodel, t_events, t_refs, "is-t2", 2.0, True)
-    bands["t is-ld"] = _per_draw_ratios(tmodel, t_events, t_refs, "is-ld", 2.0, False)
+    bands["t is-t2"] = _per_draw_ratios(tmodel, t_events, t_refs, "is-t2", 2.0)
+    bands["t is-ld"] = _per_draw_ratios(tmodel, t_events, t_refs, "is-ld", 2.0)
 
     cmodel = CopulaSpec("clayton", uniform, delta=3.0)
     u0s = [brentq(lambda v, u=u: clayton_corner_prob(3.0, v) - u,
                   0.5, 1.0 - 1e-12) for u in targets]
     c_events = [CornerEvent("upper", (v, v)) for v in u0s]
     c_refs = [clayton_corner_prob(3.0, v) for v in u0s]
-    bands["clayton is-t2"] = _per_draw_ratios(cmodel, c_events, c_refs, "is-t2", 2.0, True)
+    bands["clayton is-t2"] = _per_draw_ratios(cmodel, c_events, c_refs, "is-t2", 2.0)
 
     gmodel = CopulaSpec("gaussian", (MarginSpec("std-normal"),) * 2, sigma=eye)
     g_corners = [brentq(lambda x, u=u: rect_prob_gaussian(eye, np.array([x, x])) - u,
                         0.1, 6.0) for u in targets]
     g_events = [CornerEvent("upper", (c, c)) for c in g_corners]
     g_refs = [rect_prob_gaussian(eye, np.array([c, c])) for c in g_corners]
-    bands["gaussian is-t2"] = _per_draw_ratios(gmodel, g_events, g_refs, "is-t2", 1.8, False)
+    bands["gaussian is-t2"] = _per_draw_ratios(gmodel, g_events, g_refs, "is-t2", 1.8)
 
     spreads = {k: max(r) / min(r) for k, r in bands.items()}
     caps = {"t is-t2": 3.0, "t is-ld": 3.0, "clayton is-t2": 3.0, "gaussian is-t2": 10.0}

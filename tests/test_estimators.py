@@ -167,6 +167,14 @@ def test_zero_tilt_matches_crude_t_and_clayton():
     assert (cz.u_hat, cz.sd) == (cd.u_hat, cd.sd)
 
 
+def test_replicate_refuses_a_tilt_whose_cumulant_overflows():
+    # each coordinate's cumulant is finite at 1e308, their sum is not
+    cfg = ExperimentConfig(gauss_model(), upper(1.282), "is-t1", n=10, M=2,
+                           theta=(1e308, 1e308))
+    with pytest.raises(DomainError, match="not finite"):
+        replicate(cfg)
+
+
 def test_hazard_twist_estimate():
     cfg = ExperimentConfig(gauss_model(), upper(1.857), "is-t3", n=500, M=1000,
                            seed=506, theta=0.71)

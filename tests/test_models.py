@@ -73,6 +73,21 @@ def test_spec_validation():
         CornerEvent("diagonal", [1.0, 1.0])
 
 
+@pytest.mark.parametrize("field, build", [
+    ("df", lambda: MarginSpec("student-t", df="3")),
+    ("rate", lambda: MarginSpec("exponential", rate=None)),
+    ("nu", lambda: CopulaSpec("student-t", (STD_NORMAL,) * 2, sigma=corr(0.5), nu="5")),
+    ("delta", lambda: CopulaSpec("clayton", (STD_NORMAL,) * 2, delta="3")),
+    ("sigma", lambda: CopulaSpec("gaussian", (STD_NORMAL,) * 2, sigma="x")),
+    ("sigma", lambda: CopulaSpec("gaussian", (STD_NORMAL,) * 2, sigma=[[1.0, 0.0], [0.0]])),
+    ("thresholds", lambda: CornerEvent("upper", ["a", "b"])),
+    ("thresholds", lambda: CornerEvent("upper", [True, True])),
+])
+def test_non_numeric_parameters_raise_naming_the_field(field, build):
+    with pytest.raises(ParameterError, match=field):
+        build()
+
+
 def test_transform_event_gaussian_margins_cancel():
     c = gaussian_spec(0.0)
     e = transform_event(c, CornerEvent("upper", [1.857, 1.857]))

@@ -5,6 +5,7 @@ sampling checks use a 4 standard error budget so they are deterministic
 under the fixed seeds yet would catch a real distributional bug.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -12,6 +13,7 @@ from scipy.stats import kstest
 from tailtilt.errors import DomainError, FactorizationError, ParameterError
 from tailtilt.randkit import (
     MarginSpec,
+    RngStream,
     make_stream,
     margin_cdf,
     margin_quantile,
@@ -76,6 +78,29 @@ def test_uniforms_lie_strictly_inside_unit_interval():
     u = make_stream(1, 0).uniforms(N_BIG)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+class FixedWords:
+    """Stands in for a stream's generator: returns the given raw words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype, endpoint):
+        return self.words[:size].copy()
+
+
+def edge_stream() -> RngStream:
+    """A stream whose words are the two lowest and the two highest of the
+    2⁶⁴: both ends of the uniform grid, and the top 2¹¹ words, whose
+    midpoint rounds to 1."""
+    return RngStream(seed=0, stream_id=0,
+                     _gen=FixedWords([0, 2**11, 2**64 - 2**11, 2**64 - 1]))
+
+
+def test_uniforms_at_the_top_words_stay_below_one():
+    u = edge_stream().uniforms(4)
+    np.testing.assert_array_equal(u, [2.0**-54, 1.5 * 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-53])
 
 
 def test_uniforms_pass_ks_against_uniform():
@@ -207,6 +232,20 @@ def test_trunc_exp_extreme_tilt_stays_in_bounds():
     assert v.min() > 0.0 and v.max() < 1.0
     se = max(v.std(ddof=1) / np.sqrt(10_000), 1e-12)
     assert abs(v.mean() - trunc_exp_mean(800.0)) < 4.0 * se + 1e-6
+
+
+@pytest.mark.parametrize("theta", [1.0, -1.0, 50.0, -50.0, 600.0, -600.0, 1e7, -1e7])
+def test_trunc_exp_is_accurate_at_both_edges_of_the_grid(theta):
+    v = trunc_exp(edge_stream(), theta, 4)
+    u = edge_stream().uniforms(4)
+    assert np.all((v > 0.0) & (v < 1.0))
+    for ui, vi in zip(u, v):
+        with mpmath.workdps(40):
+            t = mpmath.mpf(theta)
+            want = float(mpmath.log1p(ui * mpmath.expm1(t)) / t)
+        # 1 itself is no draw: the closest is the largest double below it
+        want = min(want, 1.0 - 2.0**-53)
+        assert vi == pytest.approx(want, rel=4e-16, abs=0.0), (ui, vi, want)
 
 
 def test_trunc_exp_rejects_non_finite_tilt():

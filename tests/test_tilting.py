@@ -1,7 +1,9 @@
 """Tilting families: cumulants, samplers, weights, and the tilt solvers."""
 
+import inspect
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr, stdtr
 
+from tailtilt import tilting
 from tailtilt.copulas import CopulaSpec, CornerEvent, rosenblatt_inverse, sample_copula_uniforms
 from tailtilt.errors import (
     DegeneratePilotError,
@@ -176,6 +179,20 @@ def test_psi_trunc_exp_closed_form():
     # mixed signs against the direct formula ln((e^t - 1)/t)
     want = float(np.log(np.expm1(-2.0) / -2.0) + np.log(np.expm1(3.0) / 3.0))
     assert psi(f, (-2.0, 3.0)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1e308, -1e17, -1.6e6, -600.0, -1.0, -1e-5,
+                               1e-5, 1.0, 600.0, 1e7, 1e300])
+def test_psi_trunc_exp_is_accurate_relative_to_its_value(t):
+    # the deep lower-corner is-t1 tilts reach about -1.6e6
+    f = te_family(1)
+    with mpmath.workdps(40):
+        tm = mpmath.mpf(t)
+        want = float(tm + mpmath.log(-mpmath.expm1(-tm) / tm) if t > 0
+                     else mpmath.log(mpmath.expm1(tm) / tm))
+    assert psi(f, (t,)) == pytest.approx(want, rel=1e-15, abs=0.0)
+    # the gradient and Hessian overflow nothing there either
+    assert np.all(np.isfinite(grad_psi(f, (t,)))) and np.all(np.isfinite(hess_psi(f, (t,))))
 
 
 def test_psi_mvn_quadratic():
@@ -434,7 +451,7 @@ def test_degenerate_pilot_rejected():
     pilot = draw_pilot(f, never, make_stream(12, 361), 500, (0.0, 0.0))
     with pytest.raises(DegeneratePilotError):
         G_hat(f, (0.0, 0.0), pilot)
-    empty = Pilot(stat=np.empty((0, 2)), log_weight=np.empty(0), size=0, hits=0)
+    empty = Pilot(stat=np.empty((0, 2)), log_weight=np.empty(0), size=0)
     with pytest.raises(DegeneratePilotError):
         G_hat(f, (0.0, 0.0), empty)
 
@@ -507,10 +524,10 @@ def test_first_order_condition_on_fresh_pilot():
     assert np.all(np.abs(gap) <= 3.0 * se)
 
 
-def test_solve_saa_flags_non_convergence():
+def test_solve_saa_flags_non_convergence(monkeypatch):
+    monkeypatch.setattr(tilting, "_NEWTON_MAX_ITERS", 1)
     f = mvn_family(0.0)
-    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 310), score=gap_above(1.282),
-                          max_iters=1)
+    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 310), gap_above(1.282))
     assert not sol.converged
     assert sol.iterations == 1
 
@@ -519,11 +536,6 @@ def test_solve_saa_degenerate_event():
     # a score that never turns positive holds γ at -1, so the third level stalls
     with pytest.raises(DegeneratePilotError, match="level 3"):
         solve_theta_saa(mvn_family(0.0), never, make_stream(900, 317), score=never_score)
-
-
-def test_solve_saa_needs_a_score_or_a_pre_tilt():
-    with pytest.raises(ParameterError):
-        solve_theta_saa(mvn_family(0.0), all_above(1.282), make_stream(900, 317))
 
 
 def test_cross_entropy_levels_end_at_the_event():
@@ -535,12 +547,16 @@ def test_cross_entropy_levels_end_at_the_event():
     assert sol.pre_levels[-1] == 0.0
     assert len(sol.pre_levels) >= 2 and all(g < 0.0 for g in sol.pre_levels[:-1])
     assert f"pre-tilt: levels={len(sol.pre_levels)} last_gamma=0" in sol.report()
-    # a given proposal, the closed-form and the large-deviation solvers run no levels
-    given = solve_theta_saa(f, lambda ts: ts.x[:, 0] > a, make_stream(900, 320),
-                            pre_theta=sol.theta_o)
-    assert given.pre_levels == () and "pre-tilt" not in given.report()
-    assert solve_theta_gaussian_tallis(corr(0.0), [1.282, 1.282]).pre_levels == ()
+    # the closed-form and the large-deviation solvers run no levels
+    closed = solve_theta_gaussian_tallis(corr(0.0), [1.282, 1.282])
+    assert closed.pre_levels == () and "pre-tilt" not in closed.report()
     assert solve_theta_large_deviation(t_family(3.0)).pre_levels == ()
+
+
+def test_pilot_solvers_take_what_solve_event_theta_passes():
+    for solve in (solve_theta_saa, solve_hrt_theta):
+        assert list(inspect.signature(solve).parameters) == ["f", "indicator", "s", "score"]
+    assert list(inspect.signature(solve_event_theta).parameters) == ["cfg", "solver"]
 
 
 def test_solve_saa_records_reflection():
@@ -550,15 +566,6 @@ def test_solve_saa_records_reflection():
     sol = solve_event_theta(cfg, solver="saa")
     assert sol.reflected and sol.method == "saa"
     assert "reflected: true" in sol.report()
-
-
-def test_solve_saa_accepts_explicit_proposal():
-    f = mvn_family(0.0)
-    sol = solve_theta_saa(f, all_above(1.282), make_stream(900, 318),
-                          pre_theta=np.array([1.5, 1.5]))
-    assert sol.pre_levels == ()
-    assert sol.converged
-    assert np.all(np.abs(sol.theta_o - 1.58) < 0.1)
 
 
 def test_moment_match_solves_the_mean_equation_inside_the_domain():
@@ -580,7 +587,7 @@ def test_moment_match_solves_the_mean_equation_inside_the_domain():
     ]
     for f, m in cases:
         m = np.array(m)
-        theta = _match_mean(f, m, 100)
+        theta = _match_mean(f, m)
         psi(f, theta)  # raises DomainError outside the family's domain
         assert np.linalg.norm(grad_psi(f, theta) - m) <= 1e-6, (f.kind, m, theta)
 
@@ -743,14 +750,13 @@ def test_hrt_gaussian_corner():
     assert sol.method == "hrt"
 
 
-def test_hrt_tops_up_a_short_pilot():
-    # at the zero pre-tilt the first 20,000 pilot draws give 195 hits, short
-    # of 300, so the shared pilot stage draws 60,000 more before solving
-    ind = all_above(float(ndtr(1.282)))
-    sol = solve_hrt_theta(TiltFamily("hazard-rate", 2), ind, make_stream(900, 777),
-                          pre_theta=(0.0,), pilot_min_hits=300)
-    assert sol.pilot_size == 80_000 and sol.pilot_hits >= 300
-    assert sol.method == "hrt"
+def test_short_pilot_raises_naming_both_counts(monkeypatch):
+    # 100 pilot rows cannot carry the 200 hits the Newton stage needs
+    monkeypatch.setattr(tilting, "_N_PILOT", 100)
+    u0 = float(ndtr(1.857))
+    with pytest.raises(DegeneratePilotError,
+                       match=r"produced \d+ event hits of 100 draws, below the required 200"):
+        solve_hrt_theta(hazard_family(), all_above(u0), make_stream(900, 314), gap_above(u0))
 
 
 def test_hrt_t_copula_corner():
@@ -789,6 +795,6 @@ def test_hrt_projects_a_negative_minimum_onto_zero():
 
 def test_hrt_validation():
     with pytest.raises(ParameterError):
-        solve_hrt_theta(te_family(), all_above(0.9), make_stream(900, 319))
+        solve_hrt_theta(te_family(), all_above(0.9), make_stream(900, 319), gap_above(0.9))
     with pytest.raises(DegeneratePilotError, match="level 3"):
         solve_hrt_theta(hazard_family(), never, make_stream(900, 319), score=never_score)
