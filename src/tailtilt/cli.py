@@ -64,7 +64,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Flags]]:
         add("--copula", choices=("gaussian", "student-t", "clayton") + _VINES)
         add("--rho", type=float, help="off-diagonal correlation (d=2)")
         add("--sigma", type=json.loads, help="full correlation matrix as JSON")
-        add("--nu", type=float, help="t copula degrees of freedom")
+        add("--nu", type=float, help="t copula degrees of freedom, at least 0.2")
         add("--delta", type=float, help="clayton parameter")
         add("--dim", type=int, help="dimension (default 2)")
         add("--margins", choices=("std-normal", "exponential", "student-t", "uniform01"))

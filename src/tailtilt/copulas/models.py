@@ -28,6 +28,7 @@ from ..randkit import (
     _check_real,
     _check_sigma,
     _check_size,
+    _check_t_nu,
     _cholesky,
     margin_cdf,
     margin_quantile,
@@ -72,8 +73,8 @@ class CopulaSpec:
             if self.sigma is None:
                 raise ParameterError(f"{self.family} copula requires a correlation matrix")
             object.__setattr__(self, "sigma", _check_sigma(self.sigma, d, unit_diag=True))
-        if self.family == "student-t" and not 0.0 < _check_real(self.nu, "nu") < np.inf:
-            raise ParameterError(f"degrees of freedom must be finite and positive, got {self.nu}")
+        if self.family == "student-t":
+            _check_t_nu(self.nu)
         if self.family == "clayton":
             _check_clayton_delta(self.delta, "clayton")
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from ..errors import ParameterError, SolverError
-from ..randkit import _check_clayton_delta
+from ..randkit import _check_clayton_delta, _check_t_nu
 
 __all__ = ["PairCopula", "h_func", "h_inv"]
 
@@ -51,8 +51,8 @@ class PairCopula:
             raise ParameterError(f"unknown pair copula family {self.family!r}")
         if self.family in ("gaussian", "student-t") and not abs(self.rho) < 1:
             raise ParameterError(f"correlation must satisfy |rho| < 1, got {self.rho}")
-        if self.family == "student-t" and not 0.0 < self.nu < np.inf:
-            raise ParameterError(f"degrees of freedom must be finite and positive, got {self.nu}")
+        if self.family == "student-t":
+            _check_t_nu(self.nu)
         if self.family == "clayton":
             _check_clayton_delta(self.delta, "clayton")
         if self.family in ("gumbel", "joe") and not 1.0 <= self.delta < np.inf:

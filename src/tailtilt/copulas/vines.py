@@ -10,11 +10,17 @@ proximity condition, when the vine is built.
 Both transforms run on one memoised recursion (Dissmann, Brechmann, Czado &
 Kurowicka 2013; Czado 2019, ch. 6): F(a | D) is h(F(a | D-b) given
 F(b | D-b)) under the edge whose constraint set is {a} + D, b being that
-edge's other conditioned variable. The forward map is v_k = F(k | 1..k-1);
-the inverse undoes variable k's edges from its last tree back with h_inv.
-Both loop over k, so the first k columns of either map need only the first k
-input columns. The inverse can drop rows after each column; the memoised
-values are subset with them.
+edge's other conditioned variable. The forward map is v_k = F(k | 1..k-1),
+and builds every conditional it needs with h_func. The inverse undoes
+variable k's edges from its last tree back with h_inv, and keeps each
+F(k | D + {m}) it passes through in the memo, as vine samplers keep their
+arrays (Aas, Czado, Frigessi & Bakken 2009, Algorithms 1-2): later columns
+read them instead of rebuilding them with h_func. On the 3-d preset the
+inverse then calls h_func on no edge, and on the 4-d preset only for
+F(1 | 2), the one conditional its chain never passes through. Both maps loop
+over k, so the first k columns of either need only the first k input
+columns. The inverse can drop rows after each column; the memoised values
+are subset with them.
 
 Edge lists can also be read from text: one edge per line, as in
 
@@ -265,6 +271,7 @@ def vine_rosenblatt_inverse(rv: RVineSpec, v, keep=None) -> np.ndarray:
     for k in range(1, v.shape[1] + 1):
         t = v[:, k - 1] if rows is None else v[rows, k - 1]
         for pair, m, D in reversed(rv._joins[k - 1]):
+            memo[k, D | {m}] = t  # t is F(k | D + {m}) here; later columns read it
             t = h_inv(pair, t, F(m, D))
         xs[:, k - 1] = t
         if rows is not None:

@@ -603,7 +603,7 @@ def test_first_column_of_every_rosenblatt_inverse_is_known_in_advance():
     first = np.concatenate([[2.0**-54, np.nextafter(1.0, 0.0)], tail, 1.0 - tail,
                             0.5 - tail, 0.5 + tail, np.linspace(0.01, 0.99, 99)])
     t_models = {f"t{nu:g}-2d": CopulaSpec("student-t", (UNIF,) * 2, sigma=corr(0.5), nu=nu)
-                for nu in (0.05, 0.1, 0.5, 1.0, 4.0, 5.0, 6.0, 30.0)}
+                for nu in (0.2, 0.5, 1.0, 4.0, 5.0, 6.0, 30.0)}
     rng = np.random.default_rng(9)
     for name, model in {**CHAIN_MODELS, **t_models}.items():
         v = rng.uniform(size=(first.size, model.d))

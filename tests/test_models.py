@@ -66,6 +66,10 @@ def test_spec_validation():
     for nu in (np.inf, np.nan):
         with pytest.raises(ParameterError):
             CopulaSpec("student-t", margins=(STD_NORMAL,) * 2, sigma=corr(0.5), nu=nu)
+    for nu in (0.05, 0.1, np.nextafter(0.2, 0.0)):  # under the t quantile's floor
+        with pytest.raises(ParameterError, match=r"at least 0\.2"):
+            CopulaSpec("student-t", margins=(STD_NORMAL,) * 2, sigma=corr(0.5), nu=nu)
+    assert CopulaSpec("student-t", margins=(STD_NORMAL,) * 2, sigma=corr(0.5), nu=0.2).nu == 0.2
     for delta in (np.inf, np.nan, 5e-324):
         with pytest.raises(ParameterError):
             CopulaSpec("clayton", margins=(STD_NORMAL,) * 2, delta=delta)

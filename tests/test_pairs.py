@@ -2,8 +2,10 @@
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from tailtilt.copulas import PairCopula, h_func, h_inv, pairs
 from tailtilt.errors import ParameterError, SolverError
@@ -50,6 +52,10 @@ def test_parameter_validation():
     for family in ("gumbel", "joe"):
         with pytest.raises(ParameterError):
             PairCopula(family, delta=np.inf)
+    for nu in (0.05, 0.1, np.nextafter(0.2, 0.0)):  # under the t quantile's floor
+        with pytest.raises(ParameterError, match=r"at least 0\.2"):
+            PairCopula("student-t", nu=nu, rho=0.5)
+    assert PairCopula("student-t", nu=0.2, rho=0.5).nu == 0.2
 
 
 def test_gaussian_independence_and_median():
@@ -195,3 +201,21 @@ def test_joe_h_func_stays_finite_at_the_upper_corner(delta):
     ok = np.isfinite(direct)
     assert ok.sum() >= 100
     np.testing.assert_allclose(out[ok], direct[ok], rtol=1e-12, atol=0.0)
+
+
+def test_t_quantile_inverts_the_t_cdf_at_the_nu_floor():
+    # the t maps rest on stdtrit; at the floor its quantile's tail
+    # probability, at 50 digits, is v's own to a few ulps on either side
+    nu = 0.2
+    lo = 2.0 ** np.arange(-53.0, -1.0, 0.125)
+    v = np.concatenate([lo, np.linspace(0.26, 0.74, 49), 1.0 - lo[::-1]])
+    q = stdtrit(nu, v)
+    assert np.all(np.isfinite(q))
+    with mp.workdps(50):
+        n = mp.mpf(nu)
+        for vi, qi in zip(v, q):
+            x = mp.mpf(float(qi))
+            # P(T < x) for x < 0 and P(T > x) for x >= 0
+            tail = mp.betainc(n / 2, mp.mpf(0.5), 0, n / (n + x * x), regularized=True) / 2
+            want = mp.mpf(float(vi)) if qi < 0 else 1 - mp.mpf(float(vi))
+            assert abs(tail / want - 1) <= 2e-15, vi

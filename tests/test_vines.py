@@ -19,7 +19,9 @@ from tailtilt.copulas import (
     vine_preset,
     vine_rosenblatt_forward,
     vine_rosenblatt_inverse,
+    vines,
 )
+from tailtilt.copulas.pairs import h_func
 from tailtilt.errors import DegeneratePilotError, ParameterError, StructureError
 from tailtilt.estimators import ExperimentConfig, replicate, solve_event_theta
 from tailtilt.oracle import vine_corner_prob
@@ -39,6 +41,21 @@ def gaussian_vine(d: int, rho: float, kind: str = "c") -> RVineSpec:
             pair = PairCopula("gaussian", rho=rho / (1.0 + (j - 1) * rho))
             edges.append(VineEdge((m, k), tuple(D), pair))
     return RVineSpec(edges=tuple(edges), margins=(MarginSpec("uniform01"),) * d)
+
+
+# the README's 5-d C-vine, one pair of every family
+FIVE_D = """
+1,2 |       gaussian  rho=0.5
+1,3 |       student-t nu=5 rho=0.4
+1,4 |       clayton   delta=2
+1,5 |       gumbel    delta=1.5
+2,3 | 1     frank     delta=3
+2,4 | 1     gaussian  rho=0.3
+2,5 | 1     joe       delta=1.3
+3,4 | 1,2   gaussian  rho=0.2
+3,5 | 1,2   clayton   delta=1
+4,5 | 1,2,3 gaussian  rho=0.1
+"""
 
 
 def vine_of(d: int, signatures) -> RVineSpec:
@@ -176,6 +193,48 @@ def test_column_prefix_matches_full_map(name):
         assert np.array_equal(vine_rosenblatt_forward(rv, x[:, :k]), u[:, :k])
     with pytest.raises(StructureError):
         vine_rosenblatt_forward(rv, np.zeros((5, 0)))
+
+
+@pytest.mark.parametrize("name", ["3d", "4d", "5d", "5d-gaussian-d"])
+def test_keep_maps_the_rows_it_keeps_to_the_full_maps_bits(name):
+    rv = {"5d": parse_vine(FIVE_D), "5d-gaussian-d": gaussian_vine(5, 0.5, "d")}.get(name)
+    rv = rv or vine_preset(name)
+    v = make_stream(6, rv.d).uniforms(400 * rv.d).reshape(400, rv.d)
+    full = vine_rosenblatt_inverse(rv, v)
+    dropped = {}
+
+    def keep(k, xk):
+        inside = xk > 0.25
+        dropped[k] = int(np.count_nonzero(~inside))
+        return inside
+
+    x = vine_rosenblatt_inverse(rv, v, keep=keep)
+    assert sorted(dropped) == list(range(1, rv.d)) and min(dropped.values()) > 0
+    # column k + 1 is mapped on exactly the rows whose first k columns were kept
+    mapped = np.ones(v.shape[0], dtype=bool)
+    for k in range(rv.d):
+        assert np.array_equal(np.isnan(x[:, k]), ~mapped), k
+        assert np.array_equal(x[mapped, k], full[mapped, k]), k
+        mapped &= full[:, k] > 0.25
+
+
+@pytest.mark.parametrize("name, rebuilt", [("3d", []), ("4d", [(1, 2)])])
+def test_the_inverse_reads_the_conditionals_it_passes_through(name, rebuilt, monkeypatch):
+    # one h_func call per map on the 4-d preset: F(1 | 2), which lies off
+    # the chain's own path
+    seen = []
+
+    def counted(pc, v2, v1):
+        seen.append(pc)
+        return h_func(pc, v2, v1)
+
+    rv = vine_preset(name)
+    monkeypatch.setattr(vines, "h_func", counted)
+    v = make_stream(7, 0).uniforms(50 * rv.d).reshape(50, rv.d)
+    for keep in (None, lambda k, xk: xk > 0.5):
+        seen.clear()
+        vine_rosenblatt_inverse(rv, v, keep=keep)
+        assert seen == [rv.pair(c) for c in rebuilt]
 
 
 # ---------------------------------------------------------------------------
