@@ -5,9 +5,9 @@ from .copulas import (
     CopulaSpec,
     CornerEvent,
     RVineSpec,
+    latent_thresholds,
     load_vine,
     parse_vine,
-    transform_event,
     vine_preset,
 )
 from .errors import (
@@ -59,6 +59,7 @@ __all__ = [
     "clayton_corner_prob",
     "format_comparison",
     "get_case",
+    "latent_thresholds",
     "load_vine",
     "make_stream",
     "parse_vine",
@@ -70,7 +71,6 @@ __all__ = [
     "sd_eff",
     "solve_event_theta",
     "solve_theta_saa",
-    "transform_event",
     "vine_corner_prob",
     "vine_preset",
     "wnrv",

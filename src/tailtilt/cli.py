@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import benchmark_keys, format_comparison, get_case, run_case
-from .copulas import CopulaSpec, CornerEvent, transform_event, vine_preset
+from .copulas import CopulaSpec, CornerEvent, latent_thresholds, vine_preset
 from .errors import ConfigError, DegeneratePilotError, SolverError, TailTiltError
 from .estimators import ExperimentConfig, replicate, solve_event_theta
 from .oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t, vine_corner_prob
@@ -68,7 +68,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Flags]]:
         add("--delta", type=float, help="clayton parameter")
         add("--dim", type=int, help="dimension (default 2)")
         add("--margins", choices=("std-normal", "exponential", "student-t", "uniform01"))
-        add("--margin-df", type=float, help="df for student-t margins")
+        add("--margin-df", type=float, help="df for student-t margins, at least 0.2")
         add("--margin-rate", type=float, help="rate for exponential margins")
 
     def event_flags(add):
@@ -87,7 +87,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Flags]]:
     event_flags(add)
     add("--method", choices=("naive", "is-t1", "is-t2", "is-t3", "is-ld"))
     add("--theta", type=json.loads, help="tilt as JSON (number or list); omit to solve")
-    add("--route", choices=("direct", "cim"))
     run_flags(add)
 
     add = command("solve-theta", "solve a tilt without estimating")
@@ -279,8 +278,7 @@ def _cmd_estimate(opt: dict) -> int:
     method = opt.get("method", "naive")
     seed = opt.get("seed", 0)
     cfg = ExperimentConfig(model, event, method, n=opt.get("n", 500),
-                           M=opt.get("reps", 5000), seed=seed, theta=opt.get("theta"),
-                           route=opt.get("route", "direct"))
+                           M=opt.get("reps", 5000), seed=seed, theta=opt.get("theta"))
     result = replicate(cfg)
     family, params = _model_labels(model)
     _emit_json({
@@ -335,7 +333,7 @@ def _cmd_oracle(opt: dict) -> int:
         u0 = float(margin_cdf(model.margins[0], _equal_threshold(opt, family, model.d)))
         payload.update(u0=u0, value=clayton_corner_prob(model.delta, u0, model.d))
     else:
-        a_star = np.asarray(transform_event(model, _build_event(opt, model.d)).a_star)
+        a_star = latent_thresholds(model, _build_event(opt, model.d))
         if family == "gaussian":
             value = rect_prob_gaussian(model.sigma, a_star, direction)
         else:

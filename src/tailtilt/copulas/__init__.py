@@ -4,11 +4,11 @@ from .models import (
     CopulaSpec,
     CornerEvent,
     event_uniform_thresholds,
+    latent_thresholds,
     rosenblatt_forward,
     rosenblatt_inverse,
     sample_copula_crude,
     sample_copula_uniforms,
-    transform_event,
 )
 from .pairs import PairCopula, h_func, h_inv
 from .vines import (
@@ -31,6 +31,7 @@ __all__ = [
     "event_uniform_thresholds",
     "h_func",
     "h_inv",
+    "latent_thresholds",
     "load_vine",
     "parse_vine",
     "rosenblatt_forward",
@@ -38,7 +39,6 @@ __all__ = [
     "sample_copula_crude",
     "sample_copula_uniforms",
     "sample_vine_uniforms",
-    "transform_event",
     "vine_preset",
     "vine_rosenblatt_forward",
     "vine_rosenblatt_inverse",

@@ -9,7 +9,9 @@ The crude sampler exposes two routes: ``direct`` draws through the latent
 representation (multivariate normal, scale mixture, or the gamma-frailty
 construction), while ``cim`` pushes i.i.d. uniforms through the inverse
 Rosenblatt map. Both routes consume stream words in a documented order so
-that tilted samplers can reproduce them bit for bit at a zero tilt.
+that tilted samplers can reproduce them bit for bit at a zero tilt (is-t1
+and is-t3 reproduce ``cim``, is-t2 ``direct``). The routes are samplers at
+this layer only: a crude estimate of these models takes ``direct``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from ..randkit import (
     MarginSpec,
     RngStream,
     _check_clayton_delta,
+    _check_open_unit,
     _check_real,
     _check_sigma,
     _check_size,
@@ -39,7 +42,7 @@ from ..randkit import (
 __all__ = [
     "CopulaSpec",
     "CornerEvent",
-    "transform_event",
+    "latent_thresholds",
     "rosenblatt_forward",
     "rosenblatt_inverse",
     "sample_copula_uniforms",
@@ -85,16 +88,11 @@ class CopulaSpec:
 
 @dataclass(frozen=True)
 class CornerEvent:
-    """A corner event {X_i > a_i for all i} (or < for direction 'lower').
-
-    ``a`` lives on the margin scale; ``a_star`` is the latent-scale image
-    filled in by :func:`transform_event` (normal quantiles for Gaussian,
-    t quantiles for t, plain uniform thresholds for Clayton).
-    """
+    """A corner event {X_i > a_i for all i} (or < for direction 'lower'),
+    with ``a`` on the margin scale."""
 
     direction: str
     a: np.ndarray
-    a_star: np.ndarray | None = None
 
     def __post_init__(self):
         if self.direction not in ("upper", "lower"):
@@ -102,20 +100,17 @@ class CornerEvent:
         object.__setattr__(self, "a", _check_real(self.a, "thresholds a", array=True))
         if not np.all(np.isfinite(self.a)):
             raise DomainError(f"thresholds must be finite, got {self.a}")
-        if self.a_star is not None:
-            object.__setattr__(self, "a_star", _check_real(self.a_star, "a_star", array=True))
 
 
-def transform_event(c: CopulaSpec, e: CornerEvent) -> CornerEvent:
-    """Fill in the latent-scale thresholds of a corner event."""
+def latent_thresholds(c: CopulaSpec, e: CornerEvent) -> np.ndarray:
+    """The event's thresholds on the latent scale: normal quantiles for the
+    Gaussian copula, t quantiles for the t, uniform thresholds for Clayton."""
     u0 = event_uniform_thresholds(c, e)
     if c.family == "gaussian":
-        a_star = ndtri(u0)
-    elif c.family == "student-t":
-        a_star = stdtrit(c.nu, u0)
-    else:
-        a_star = u0
-    return CornerEvent(direction=e.direction, a=e.a, a_star=a_star)
+        return ndtri(u0)
+    if c.family == "student-t":
+        return stdtrit(c.nu, u0)
+    return u0
 
 
 def event_uniform_thresholds(c: CopulaSpec, e: CornerEvent) -> np.ndarray:
@@ -134,43 +129,36 @@ def _check_matrix(c: CopulaSpec, arr: np.ndarray, name: str) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != c.d:
         raise ShapeError(f"{name} must have shape (n, {c.d}), got {arr.shape}")
-    return arr
+    return _check_open_unit(arr, name)
 
 
 # ---------------------------------------------------------------------------
 # Rosenblatt transforms
-
-
-def _t_conditional_terms(sigma: np.ndarray, nu: float, q: np.ndarray, k: int):
-    """Location, scale, and df for component k of a t vector given q[:, :k]."""
-    a = sigma[:k, :k]
-    b = sigma[k, :k]
-    w = np.linalg.solve(a, b)
-    loc = q[:, :k] @ w
-    schur = sigma[k, k] - b @ w
-    sol = np.linalg.solve(a, q[:, :k].T)
-    qf = np.einsum("ij,ji->i", q[:, :k], sol)
-    scale = np.sqrt((nu + qf) / (nu + k) * schur)
-    return loc, scale, nu + k
+#
+# Both elliptical families condition along the Cholesky factor L of sigma:
+# y = L^-1 q holds the standardized residuals of the latent vector q. For
+# the t, column k of y (counting from 0) given the columns before it is a t
+# with nu + k degrees of freedom once scaled by sqrt((nu + k) / (nu + s_k)),
+# s_k the sum of their squares (Genz & Bretz 2009).
 
 
 def rosenblatt_forward(c: CopulaSpec, u) -> np.ndarray:
     """Map copula-scale vectors to i.i.d. uniforms by sequential conditioning."""
     u = _check_matrix(c, u, "u")
+    if c.family == "clayton":
+        return _clayton_forward(c.delta, u)
+    L = _cholesky(c.sigma)
     if c.family == "gaussian":
-        L = _cholesky(c.sigma)
-        z = ndtri(u)
-        y = solve_triangular(L, z.T, lower=True).T
-        return ndtr(y)
-    if c.family == "student-t":
-        q = stdtrit(c.nu, u)
-        v = np.empty_like(u)
-        v[:, 0] = u[:, 0]
-        for k in range(1, c.d):
-            loc, scale, df = _t_conditional_terms(c.sigma, c.nu, q, k)
-            v[:, k] = stdtr(df, (q[:, k] - loc) / scale)
-        return v
-    return _clayton_forward(c.delta, u)
+        return ndtr(solve_triangular(L, ndtri(u).T, lower=True).T)
+    y = solve_triangular(L, stdtrit(c.nu, u).T, lower=True).T
+    v = np.empty_like(u)
+    v[:, 0] = u[:, 0]
+    ss = y[:, 0] ** 2
+    for k in range(1, c.d):
+        df = c.nu + k
+        v[:, k] = stdtr(df, y[:, k] * np.sqrt(df / (c.nu + ss)))
+        ss += y[:, k] ** 2
+    return v
 
 
 def rosenblatt_inverse(c: CopulaSpec, v) -> np.ndarray:
@@ -180,20 +168,21 @@ def rosenblatt_inverse(c: CopulaSpec, v) -> np.ndarray:
     round-trips it through ``ndtr(ndtri(v1))``, within 2.2e-16 of v1.
     """
     v = _check_matrix(c, v, "v")
+    if c.family == "clayton":
+        return _clayton_inverse(c.delta, v)
+    L = _cholesky(c.sigma)
     if c.family == "gaussian":
-        L = _cholesky(c.sigma)
         return ndtr(ndtri(v) @ L.T)
-    if c.family == "student-t":
-        q = np.empty_like(v)
-        q[:, 0] = stdtrit(c.nu, v[:, 0])
-        for k in range(1, c.d):
-            loc, scale, df = _t_conditional_terms(c.sigma, c.nu, q, k)
-            q[:, k] = loc + scale * stdtrit(df, v[:, k])
-        u = np.empty_like(v)
-        u[:, 0] = v[:, 0]
-        u[:, 1:] = stdtr(c.nu, q[:, 1:])
-        return u
-    return _clayton_inverse(c.delta, v)
+    y = np.empty_like(v)
+    ss = np.zeros(v.shape[0])
+    for k in range(c.d):  # at k = 0 the scale is nu / nu, exactly 1
+        df = c.nu + k
+        y[:, k] = stdtrit(df, v[:, k]) * np.sqrt((c.nu + ss) / df)
+        ss += y[:, k] ** 2
+    u = np.empty_like(v)
+    u[:, 0] = v[:, 0]
+    u[:, 1:] = stdtr(c.nu, y @ L[1:].T)
+    return u
 
 
 def _clayton_clip(delta: float, u: np.ndarray) -> np.ndarray:

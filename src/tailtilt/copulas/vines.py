@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError, StructureError
-from ..randkit import MarginSpec, RngStream, _check_size
+from ..randkit import MarginSpec, RngStream, _check_open_unit, _check_size
 from .pairs import PairCopula, h_func, h_inv
 
 __all__ = [
@@ -225,7 +225,7 @@ def _as_matrix(rv: RVineSpec, arr, name: str) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or not 1 <= arr.shape[1] <= rv.d:
         raise StructureError(f"{name} must have shape (n, k), k in 1..{rv.d}, got {arr.shape}")
-    return arr
+    return _check_open_unit(arr, name)
 
 
 def _conditionals(rv: RVineSpec, x: np.ndarray, memo: dict):

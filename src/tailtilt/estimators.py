@@ -19,8 +19,8 @@ min(x − u0) for Clayton. The pilot solvers' cross-entropy pre-tilt climbs
 towards the event on it. IEEE subtraction keeps the sign, so the
 latent-family indicators are the score test itself, bit for bit.
 
-The is-t1 and is-t3 indicators and the crude vine and ``cim`` routes map only
-the rows that can still reach the corner. On a vine, column k + 1 is mapped
+The is-t1 and is-t3 indicators and the crude vine estimate map only the
+rows that can still reach the corner. On a vine, column k + 1 is mapped
 only on the rows whose columns 1..k lie inside it. A parametric model maps
 the rows whose first coordinate can still reach it: every parametric inverse
 map passes the first uniform through as that coordinate (the Gaussian's to
@@ -30,8 +30,9 @@ Every method draws replication r from ``make_stream(seed, r)``. Blocks of
 consecutive replications share one event test, and each replication's
 estimate is the mean of its own rows, so results are bit-identical for any
 block size and thread count. With the tilt vector at zero the importance
-samplers consume the stream exactly like the crude sampler on the matching
-route and reproduce its estimate bit for bit.
+samplers reproduce the crude draws bit for bit: is-t1 and is-t3 those of
+the conditional-inverse chain, is-t2 those of the latent construction. The
+crude estimate samples a vine on its chain, a parametric copula latently.
 
 Lower corners reuse the upper-corner machinery. The trunc-exp family simply
 tilts toward zero (its tilt space is two-sided), the hazard twist feeds
@@ -54,10 +55,10 @@ from .copulas import (
     CornerEvent,
     RVineSpec,
     event_uniform_thresholds,
+    latent_thresholds,
     rosenblatt_inverse,
     sample_copula_uniforms,
     sample_vine_uniforms,  # unused; perfbench's traced run wraps it as a span boundary
-    transform_event,
     vine_rosenblatt_inverse,
 )
 from .errors import ConfigError, DomainError, ParameterError, SolverError
@@ -96,9 +97,8 @@ class ExperimentConfig:
 
     ``theta`` is the tilt to use; leave it None to have :func:`replicate`
     solve for it, and refuse a solve that did not converge. The crude
-    ``route`` selects between the model's direct sampler and the
-    conditional-inverse chain; importance samplers imply their own route
-    and ignore it.
+    estimator samples a vine on its conditional-inverse chain and a
+    parametric copula through its latent construction.
     """
 
     model: CopulaSpec | RVineSpec
@@ -108,7 +108,6 @@ class ExperimentConfig:
     M: int = 5000
     seed: int = 0
     theta: object = None
-    route: str = "direct"
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -118,8 +117,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.n < 1 or self.M < 1:
             raise ConfigError(f"need n >= 1 and M >= 1, got n={self.n}, M={self.M}")
-        if self.route not in ("direct", "cim"):
-            raise ConfigError(f"unknown route {self.route!r}")
         try:
             np.asarray(0.0 if self.theta is None else self.theta, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -254,7 +251,7 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
     if cfg.method == "is-ld" and model.family != "student-t":
         raise ConfigError("the large-deviation tilt is defined for the t copula only")
 
-    a = np.asarray(transform_event(model, ev).a_star, dtype=np.float64)
+    a = latent_thresholds(model, ev)
     corner = -a if lower else a
     if model.family == "gaussian":
         f = TiltFamily("mvn-shift", d, sigma=model.sigma, a_star=corner)
@@ -339,8 +336,8 @@ def _stream_fns(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | N
 
         def test(x, stat, log_lr):
             return plan.indicator(TiltedSample(x, stat, log_lr, ())) * np.exp(log_lr)
-    elif _is_vine(model) or cfg.route == "cim":
-        # sample_vine_uniforms' and the cim route's words, mapped where they can hit
+    elif _is_vine(model):
+        # sample_vine_uniforms' words, mapped where they can hit
         draw = lambda s: (s.uniforms(n * d).reshape(n, d),)
         test = lambda v: _chain_hits(model, v, u0, ev.direction) * 1.0
     else:

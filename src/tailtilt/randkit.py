@@ -96,8 +96,8 @@ class MarginSpec:
             raise ParameterError(f"unknown margin family {self.family!r}")
         if self.family == "exponential" and not _check_real(self.rate, "rate") > 0:
             raise ParameterError(f"exponential rate must be positive, got {self.rate}")
-        if self.family == "student-t" and not _check_real(self.df, "df") > 0:
-            raise ParameterError(f"student-t df must be positive, got {self.df}")
+        if self.family == "student-t":
+            _check_t_nu(self.df, "df")
 
     def label(self) -> str:
         if self.family == "exponential":
@@ -233,6 +233,13 @@ def _check_real(value, name: str, *, array: bool = False) -> np.ndarray | float:
     return np.atleast_1d(arr.astype(np.float64, copy=False)) if array else float(arr)
 
 
+def _check_open_unit(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr`` itself, once every entry is known to lie strictly inside (0, 1)."""
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):  # NaN fails both
+        raise DomainError(f"every entry of {name} must lie strictly inside (0, 1)")
+    return arr
+
+
 def _check_sigma(sigma, d: int, *, unit_diag: bool) -> np.ndarray:
     """``sigma`` as a float array, checked to be a symmetric positive definite
     d×d matrix, and a correlation matrix when ``unit_diag``."""
@@ -254,11 +261,11 @@ def _check_sigma(sigma, d: int, *, unit_diag: bool) -> np.ndarray:
 _T_NU_MIN = 0.2
 
 
-def _check_t_nu(nu: float) -> None:
+def _check_t_nu(nu: float, name: str = "nu") -> None:
     """Reject t degrees of freedom that are not finite or lie below ``_T_NU_MIN``."""
-    if not _T_NU_MIN <= _check_real(nu, "nu") < np.inf:
-        raise ParameterError(f"student-t degrees of freedom must be finite and at least "
-                             f"{_T_NU_MIN:g}, where scipy's t quantile still inverts "
+    if not _T_NU_MIN <= _check_real(nu, name) < np.inf:
+        raise ParameterError(f"student-t degrees of freedom {name} must be finite and at "
+                             f"least {_T_NU_MIN:g}, where scipy's t quantile still inverts "
                              f"the t CDF, got {nu}")
 
 

@@ -1,6 +1,5 @@
 """Estimation methods, replication engine, efficiency metrics."""
 
-import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -69,8 +68,6 @@ def test_config_validation():
         ExperimentConfig(gauss_model(), upper(1.0), "naive", n=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(gauss_model(), upper(1.0), "naive", M=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(gauss_model(), upper(1.0), "naive", route="fancy")
     for bad in ({"n": 100.5}, {"M": 20.0}, {"n": True}, {"M": True},
                 {"seed": 1.5}, {"seed": "a"}, {"seed": True}):
         with pytest.raises(ConfigError):
@@ -142,17 +139,33 @@ def test_is_theta_outside_domain():
         replicate(cfg)
 
 
+def crude_chain(model, event: CornerEvent, n: int, M: int, seed: int) -> tuple[float, float]:
+    """(u_hat, sd) of the crude estimate on the conditional-inverse chain,
+    every row of replication r mapped from ``make_stream(seed, r)``."""
+    u0 = event_uniform_thresholds(model, event)
+    est = np.empty(M)
+    for r in range(M):
+        s = make_stream(seed, r)
+        if isinstance(model, RVineSpec):
+            u = sample_vine_uniforms(s, model, n)
+        else:
+            u = sample_copula_uniforms(model, s, n, "cim")
+        est[r] = np.mean(np.all(u < u0, axis=1) if event.direction == "lower"
+                         else np.all(u > u0, axis=1))
+    return float(est.mean()), float(est.std(ddof=1))
+
+
 def test_zero_tilt_matches_crude_bitwise():
     model = gauss_model()
     ev = upper(1.282)
     direct = replicate(ExperimentConfig(model, ev, "naive", n=500, M=100, seed=7))
-    cim = replicate(ExperimentConfig(model, ev, "naive", n=500, M=100, seed=7, route="cim"))
+    cim = crude_chain(model, ev, n=500, M=100, seed=7)
     t2 = replicate(ExperimentConfig(model, ev, "is-t2", n=500, M=100, seed=7, theta=(0.0, 0.0)))
     t1 = replicate(ExperimentConfig(model, ev, "is-t1", n=500, M=100, seed=7, theta=(0.0, 0.0)))
     t3 = replicate(ExperimentConfig(model, ev, "is-t3", n=500, M=100, seed=7, theta=(0.0,)))
     assert (t2.u_hat, t2.sd) == (direct.u_hat, direct.sd)
-    assert (t1.u_hat, t1.sd) == (cim.u_hat, cim.sd)
-    assert (t3.u_hat, t3.sd) == (cim.u_hat, cim.sd)
+    assert (t1.u_hat, t1.sd) == cim
+    assert (t3.u_hat, t3.sd) == cim
 
 
 def test_zero_tilt_matches_crude_t_and_clayton():
@@ -432,45 +445,34 @@ def test_blocks_of_any_size_give_the_same_bits(monkeypatch, name, lower):
             continue  # the frailty tilt covers upper corners only
         if lower and method == "is-t1":
             theta = tuple(-t for t in theta)  # the trunc-exp tilt leans towards zero
-        routes = ("direct", "cim") if method == "naive" else ("direct",)
-        for route, M in itertools.product(routes, (1, B // 2, B + 1)):
-            cfg = ExperimentConfig(model, ev, method, n=n, M=M, seed=41, theta=theta,
-                                   route=route)
+        for M in (1, B // 2, B + 1):
+            cfg = ExperimentConfig(model, ev, method, n=n, M=M, seed=41, theta=theta)
             blocks = replicate(cfg)
             pooled = replicate(cfg, threads=2)
             with monkeypatch.context() as mp:
                 mp.setattr(estimators, "_BLOCK_ROWS", n)  # one stream per block
                 single = replicate(cfg)
-            assert _bits(blocks) == _bits(single) == _bits(pooled), (method, route, M)
+            assert _bits(blocks) == _bits(single) == _bits(pooled), (method, M)
             assert blocks.sd_within_run == (M == 1)
 
 
 @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
 @pytest.mark.parametrize("name", ["vine-3d", "vine-4d", "gaussian-cim"])
 def test_crude_chain_routes_match_the_full_map(name, lower):
-    """The crude vine and cim replications test each stream's words without
-    mapping most rows; a reference that maps every row gives the same bits."""
+    """The crude vine replications, and is-t1 at zero tilt on the Gaussian's
+    cim chain, test each stream's words without mapping most rows; a
+    reference that maps every row gives the same bits."""
     if name == "gaussian-cim":
-        model = gauss_model(0.5)
+        model, method, theta = gauss_model(0.5), "is-t1", (0.0, 0.0)
         ev = CornerEvent("lower", (-1.96, -1.96)) if lower else upper(1.96)
-
-        def full_map(s, n):
-            return sample_copula_uniforms(model, s, n, "cim")
     else:
-        model = VINE_3D if name == "vine-3d" else VINE_4D
+        model, method, theta = VINE_3D if name == "vine-3d" else VINE_4D, "naive", None
         ev = CornerEvent("lower" if lower else "upper", (0.025 if lower else 0.975,) * model.d)
-
-        def full_map(s, n):
-            return sample_vine_uniforms(s, model, n)
     n, M, seed = 500, 20, 43
-    u0 = event_uniform_thresholds(model, ev)
-    est = np.empty(M)
-    for r in range(M):
-        u = full_map(make_stream(seed, r), n)
-        est[r] = np.mean(np.all(u < u0, axis=1) if lower else np.all(u > u0, axis=1))
-    got = replicate(ExperimentConfig(model, ev, "naive", n=n, M=M, seed=seed, route="cim"))
-    assert est.mean() > 0.0
-    assert (got.u_hat, got.sd) == (float(est.mean()), float(est.std(ddof=1)))
+    want = crude_chain(model, ev, n, M, seed)
+    got = replicate(ExperimentConfig(model, ev, method, n=n, M=M, seed=seed, theta=theta))
+    assert want[0] > 0.0
+    assert (got.u_hat, got.sd) == want
 
 
 @pytest.mark.parametrize("model", [VINE_3D, VINE_4D], ids=["3d", "4d"])

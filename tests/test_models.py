@@ -11,11 +11,14 @@ from tailtilt.copulas import (
     PairCopula,
     event_uniform_thresholds,
     h_func,
+    latent_thresholds,
     rosenblatt_forward,
     rosenblatt_inverse,
     sample_copula_crude,
     sample_copula_uniforms,
-    transform_event,
+    vine_preset,
+    vine_rosenblatt_forward,
+    vine_rosenblatt_inverse,
 )
 from tailtilt.errors import DomainError, ParameterError, ShapeError
 from tailtilt.oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t
@@ -94,36 +97,36 @@ def test_non_numeric_parameters_raise_naming_the_field(field, build):
 
 def test_transform_event_gaussian_margins_cancel():
     c = gaussian_spec(0.0)
-    e = transform_event(c, CornerEvent("upper", [1.857, 1.857]))
-    np.testing.assert_allclose(e.a_star, [1.857, 1.857], atol=1e-12)
+    a = latent_thresholds(c, CornerEvent("upper", [1.857, 1.857]))
+    np.testing.assert_allclose(a, [1.857, 1.857], atol=1e-12)
 
 
 def test_transform_event_exponential_margins():
     c = gaussian_spec(0.0, margin=MarginSpec("exponential", rate=1.0))
-    e = transform_event(c, CornerEvent("upper", [3.454, 3.454]))
-    np.testing.assert_allclose(e.a_star, [1.857, 1.857], atol=1e-3)
+    a = latent_thresholds(c, CornerEvent("upper", [3.454, 3.454]))
+    np.testing.assert_allclose(a, [1.857, 1.857], atol=1e-3)
 
 
 def test_transform_event_t():
     c = t_spec(5.0, 0.0, margin=MarginSpec("student-t", df=2.0))
-    e = transform_event(c, CornerEvent("upper", [6.128, 6.128]))
-    np.testing.assert_allclose(e.a_star, [3.1419202680] * 2, atol=1e-9)
+    a = latent_thresholds(c, CornerEvent("upper", [6.128, 6.128]))
+    np.testing.assert_allclose(a, [3.1419202680] * 2, atol=1e-9)
 
 
 def test_transform_event_clayton_is_uniform_scale():
     c = clayton_spec(3.0)
-    e = transform_event(c, CornerEvent("upper", [2.130, 2.130]))
-    np.testing.assert_allclose(e.a_star, [0.983414193316] * 2, atol=1e-10)
-    np.testing.assert_allclose(event_uniform_thresholds(c, e), e.a_star)
+    e = CornerEvent("upper", [2.130, 2.130])
+    np.testing.assert_allclose(latent_thresholds(c, e), [0.983414193316] * 2, atol=1e-10)
+    np.testing.assert_array_equal(event_uniform_thresholds(c, e), latent_thresholds(c, e))
 
 
 def test_transform_event_outside_support():
     c = gaussian_spec(0.0, margin=MarginSpec("exponential", rate=1.0))
     with pytest.raises(DomainError):
-        transform_event(c, CornerEvent("upper", [-0.5, 1.0]))
+        latent_thresholds(c, CornerEvent("upper", [-0.5, 1.0]))
     cu = gaussian_spec(0.0, margin=MarginSpec("uniform01"))
     with pytest.raises(DomainError):
-        transform_event(cu, CornerEvent("upper", [0.5, 1.5]))
+        latent_thresholds(cu, CornerEvent("upper", [0.5, 1.5]))
 
 
 @pytest.mark.parametrize(
@@ -133,9 +136,7 @@ def test_transform_event_outside_support():
 )
 def test_transform_event_monotone_in_thresholds(c):
     grid = np.linspace(0.2, 2.5, 9)
-    stars = np.array(
-        [transform_event(c, CornerEvent("upper", [t, t])).a_star[0] for t in grid]
-    )
+    stars = np.array([latent_thresholds(c, CornerEvent("upper", [t, t]))[0] for t in grid])
     assert np.all(np.diff(stars) > 0.0)
 
 
@@ -208,6 +209,79 @@ def test_bivariate_forward_agrees_with_pair_h(c, pc):
     v = rosenblatt_forward(c, u)
     np.testing.assert_allclose(v[:, 0], u[:, 0], atol=1e-12)
     np.testing.assert_allclose(v[:, 1], h_func(pc, u[:, 1], u[:, 0]), atol=1e-9)
+
+
+# the 4-d tridiagonal correlation: its Cholesky factor is bidiagonal
+TRIDIAG_4 = np.eye(4) + np.diag([0.5, 0.4, -0.3], 1) + np.diag([0.5, 0.4, -0.3], -1)
+
+
+def _t_conditional(sigma, nu, q, k):
+    """Location, scale and degrees of freedom of t component k given the
+    components q[:, :k], from the conditional law of the multivariate t."""
+    a, b = sigma[:k, :k], sigma[k, :k]
+    w = np.linalg.solve(a, b)
+    quad = np.einsum("ij,ji->i", q[:, :k], np.linalg.solve(a, q[:, :k].T))
+    scale = np.sqrt((nu + quad) / (nu + k) * (sigma[k, k] - b @ w))
+    return q[:, :k] @ w, scale, nu + k
+
+
+def _t_forward_reference(c, u):
+    q = stdtrit(c.nu, u)
+    v = u.copy()
+    for k in range(1, c.d):
+        loc, scale, df = _t_conditional(c.sigma, c.nu, q, k)
+        v[:, k] = stdtr(df, (q[:, k] - loc) / scale)
+    return v
+
+
+def _t_inverse_reference(c, v):
+    q = np.empty_like(v)
+    q[:, 0] = stdtrit(c.nu, v[:, 0])
+    for k in range(1, c.d):
+        loc, scale, df = _t_conditional(c.sigma, c.nu, q, k)
+        q[:, k] = loc + scale * stdtrit(df, v[:, k])
+    u = stdtr(c.nu, q)
+    u[:, 0] = v[:, 0]
+    return u
+
+
+@pytest.mark.parametrize("nu", [0.2, 3.0, 30.0])
+@pytest.mark.parametrize("sigma", [corr(-0.6), TRIDIAG_4], ids=["d2", "d4-tridiagonal"])
+def test_t_maps_match_the_conditional_law(sigma, nu):
+    c = CopulaSpec("student-t", (STD_NORMAL,) * len(sigma), sigma=sigma, nu=nu)
+    w = make_stream(17, 0).uniforms(50_000 * c.d).reshape(-1, c.d)
+    np.testing.assert_allclose(rosenblatt_forward(c, w), _t_forward_reference(c, w),
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(rosenblatt_inverse(c, w), _t_inverse_reference(c, w),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_t_inverse_keeps_the_exact_zero_of_a_bidiagonal_factor():
+    # with v3 = v4 = 1/2 the latent q4 = L43 y3 + L44 y4 is exactly 0, however
+    # far out v1 and v2 lie, so u4 is the t median
+    c = CopulaSpec("student-t", (STD_NORMAL,) * 4, sigma=TRIDIAG_4, nu=0.5)
+    tiny = 2.0**-53
+    v = np.array([[1.0 - tiny, tiny, 0.5, 0.5], [tiny, 1e-12, 0.5, 0.5]])
+    assert rosenblatt_inverse(c, v)[:, 3].tolist() == [0.5, 0.5]
+
+
+DOMAIN_MAPS = {
+    "gaussian": (gaussian_spec(0.5), rosenblatt_forward, rosenblatt_inverse, "u"),
+    "student-t": (t_spec(5.0, 0.5), rosenblatt_forward, rosenblatt_inverse, "u"),
+    "clayton": (clayton_spec(3.0), rosenblatt_forward, rosenblatt_inverse, "u"),
+    "vine-3d": (vine_preset("3d"), vine_rosenblatt_forward, vine_rosenblatt_inverse, "x"),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, np.nan, 1.5], ids=["0", "1", "nan", "1.5"])
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("name", list(DOMAIN_MAPS))
+def test_rosenblatt_maps_refuse_entries_outside_the_open_unit_interval(name, inverse, bad):
+    model, forward, backward, arg = DOMAIN_MAPS[name]
+    rows = np.full((3, model.d), 0.5)
+    rows[1, -1] = bad
+    with pytest.raises(DomainError, match=f"entry of {'v' if inverse else arg} "):
+        (backward if inverse else forward)(model, rows)
 
 
 # ---------------------------------------------------------------------------

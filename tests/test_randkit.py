@@ -129,6 +129,18 @@ def test_margin_spec_rejects_bad_parameters():
         MarginSpec("student-t", df=-2.0)
 
 
+def test_student_t_margin_has_the_t_quantile_floor():
+    # at df = 0.1 scipy's quantile at 1.9e-16 reads +inf
+    for df in (0.05, 0.1, np.nextafter(0.2, 0.0), np.inf, np.nan):
+        with pytest.raises(ParameterError, match=r"df must be finite and at least 0\.2"):
+            MarginSpec("student-t", df=df)
+    m = MarginSpec("student-t", df=0.2)
+    v = np.array([1.878e-16, 1e-12, 0.3])
+    x = margin_quantile(m, v)
+    assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0.0)
+    np.testing.assert_allclose(margin_cdf(m, x), v, rtol=1e-6)
+
+
 def test_margin_labels():
     assert MarginSpec("std-normal").label() == "std-normal"
     assert MarginSpec("exponential", rate=2.0).label() == "exponential(2)"
