@@ -182,13 +182,20 @@ def _build_model(opt: dict):
     if opt.get("dim", 2) < 1:
         raise ConfigError(f"--dim must be at least 1, got {opt['dim']}")
     if family in _VINES:
-        return vine_preset(family[:2])
+        rv = vine_preset(family[:2])
+        _check_dim(opt, rv.d, f"--copula {family}")
+        return rv
     if family == "clayton":
         return CopulaSpec("clayton", (_build_margin(opt),) * opt.get("dim", 2),
                           delta=_require(opt, "delta"))
     if opt.get("sigma") is not None:
+        if opt.get("rho") is not None:
+            raise ConfigError("--rho and --sigma both set the correlation; give one")
         sigma = _check_real(opt["sigma"], "--sigma", array=True)
-        d = sigma.shape[0] if sigma.ndim == 2 else 0
+        if sigma.ndim != 2:
+            raise ConfigError(f"--sigma must be a matrix, got {opt['sigma']!r}")
+        d = sigma.shape[0]
+        _check_dim(opt, d, "--sigma")
     else:
         rho = _require(opt, "rho")
         d = opt.get("dim", 2)
@@ -198,6 +205,13 @@ def _build_model(opt: dict):
     if family == "student-t":
         return CopulaSpec("student-t", margins, sigma=sigma, nu=_require(opt, "nu"))
     return CopulaSpec("gaussian", margins, sigma=sigma)
+
+
+def _check_dim(opt: dict, d: int, source: str) -> None:
+    """Refuse a ``--dim`` that disagrees with the dimension ``source`` fixes."""
+    if opt.get("dim", d) != d:
+        raise ConfigError(f"--dim {opt['dim']} disagrees with {source}, which is "
+                          f"{d}-dimensional")
 
 
 def _build_event(opt: dict, d: int) -> CornerEvent:

@@ -250,17 +250,16 @@ def sample_copula_uniforms(
     return (1.0 - np.log(v) / w[:, None]) ** (-1.0 / c.delta)
 
 
-def sample_copula_crude(c, s: RngStream, n: int, route: str = "direct") -> np.ndarray:
-    """Draw n margin-scale vectors X from a copula model or a vine."""
+def sample_copula_crude(c, s: RngStream, n: int) -> np.ndarray:
+    """Draw n margin-scale vectors X from a vine on its chain, or from a
+    parametric copula through its latent construction."""
     from .vines import RVineSpec, sample_vine_uniforms
 
     if isinstance(c, RVineSpec):
         u = sample_vine_uniforms(s, c, n)
-        margins = c.margins
     else:
-        u = sample_copula_uniforms(c, s, n, route)
-        margins = c.margins
+        u = sample_copula_uniforms(c, s, n)
     x = np.empty_like(u)
-    for i, m in enumerate(margins):
+    for i, m in enumerate(c.margins):
         x[:, i] = margin_quantile(m, np.clip(u[:, i], 1e-15, 1.0 - 1e-15))
     return x

@@ -335,7 +335,7 @@ def _stream_fns(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | N
             return ts.x, ts.stat, ts.log_lr
 
         def test(x, stat, log_lr):
-            return plan.indicator(TiltedSample(x, stat, log_lr, ())) * np.exp(log_lr)
+            return plan.indicator(TiltedSample(x, stat, log_lr)) * np.exp(log_lr)
     elif _is_vine(model):
         # sample_vine_uniforms' words, mapped where they can hit
         draw = lambda s: (s.uniforms(n * d).reshape(n, d),)

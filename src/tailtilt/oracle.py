@@ -29,7 +29,7 @@ from scipy.special import gammaln, ndtr, ndtri
 
 from .copulas.vines import vine_rosenblatt_forward, vine_rosenblatt_inverse
 from .errors import ParameterError, ShapeError, SolverError
-from .randkit import _cholesky
+from .randkit import _check_clayton_delta, _check_real, _check_size, _cholesky
 
 __all__ = ["rect_prob_gaussian", "rect_prob_t", "clayton_corner_prob", "vine_corner_prob"]
 
@@ -50,9 +50,9 @@ def rect_prob_gaussian(sigma, a, direction: str = "upper") -> float:
     raises :class:`SolverError`. Lower corners map to upper ones by V ~ -V.
     """
     _check_direction(direction)
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    a = _check_real(a, "thresholds", array=True)
     d = a.shape[0]
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma = _check_real(sigma, "sigma", array=True)
     if sigma.shape != (d, d):
         raise ShapeError(f"covariance shape {sigma.shape} does not match {d} thresholds")
     if d > 4:
@@ -156,9 +156,9 @@ def rect_prob_t(nu: float, sigma, a, direction: str = "upper") -> float:
     resolved to 1e-6 relative raises :class:`SolverError`.
     """
     _check_direction(direction)
-    if not nu > 0:
+    if not _check_real(nu, "nu") > 0:
         raise ParameterError(f"degrees of freedom must be positive, got {nu}")
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    a = _check_real(a, "thresholds", array=True)
     if a.shape[0] > 2:
         raise ParameterError(f"t-rectangle oracle supports d <= 2, got d={a.shape[0]}")
     if direction == "lower":
@@ -196,12 +196,10 @@ def clayton_corner_prob(delta: float, u0: float, d: int = 2) -> float:
     u0 * (k - (k-1) u0^delta)^(-1/delta) so no intermediate quantity
     overflows however small u0 or large delta gets.
     """
-    if not delta > 0:
-        raise ParameterError(f"clayton parameter must be positive, got {delta}")
-    if not 0.0 < u0 < 1.0:
+    _check_clayton_delta(delta, "clayton")
+    if not 0.0 < _check_real(u0, "threshold") < 1.0:
         raise ParameterError(f"threshold must lie in (0,1), got {u0}")
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ParameterError(f"dimension must be an integer of at least 1, got {d!r}")
+    _check_size(d, "dimension")
     ud = u0**delta
     total = 0.0
     for k in range(d + 1):
@@ -211,7 +209,7 @@ def clayton_corner_prob(delta: float, u0: float, d: int = 2) -> float:
 
 def vine_corner_prob(rv, p: float) -> float:
     """P(U_i > p for all i) under a vine copula, by quadrature along its chain."""
-    if not 0.0 < p < 1.0:
+    if not 0.0 < _check_real(p, "threshold") < 1.0:
         raise ParameterError(f"threshold must lie in (0,1), got {p}")
     if rv.d not in _M_MAX:
         raise ParameterError(f"vine corner quadrature supports d in 2..4, got d={rv.d}")

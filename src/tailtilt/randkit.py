@@ -214,10 +214,11 @@ def _cholesky(sigma: np.ndarray) -> np.ndarray:
     return L
 
 
-def _check_size(n) -> None:
-    """Reject a sample size that is not an integer of at least 1."""
+def _check_size(n, name: str = "sample size") -> None:
+    """Reject a count, by default a sample size, that is not an integer of at
+    least 1."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"sample size must be an integer of at least 1, got {n!r}")
+        raise ParameterError(f"{name} must be an integer of at least 1, got {n!r}")
 
 
 def _check_real(value, name: str, *, array: bool = False) -> np.ndarray | float:

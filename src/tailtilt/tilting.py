@@ -28,14 +28,15 @@ The solvers minimize the second-moment proxy G(θ) = E_P[1{A} e^{−θ·T+ψ(θ)
 resulting deterministic convex surface, ``solve_theta_gaussian_tallis``
 solves the Gaussian first-order condition through the closed-form truncated
 normal moment, ``solve_theta_large_deviation`` minimizes ψ itself for the t
-family, and ``solve_hrt_theta`` is the one-parameter case of
-``solve_theta_saa`` for the scalar hazard-rate twist, projected onto [0, 1).
-Every pilot solve runs the same pre-tilt, pilot stage and damped Newton. The
-pre-tilt is multilevel cross-entropy on a continuous score whose event is
-{score > 0} (Rubinstein 1997; de Boer, Kroese, Mannor & Rubinstein 2005):
-each level raises the score level γ towards 0 and refits the tilt by
-matching the weighted mean of the statistic over the rows above γ, a moment
-match that is the damped Newton too, run on a one-row pilot.
+family over θ ≥ 0, one non-negative least-squares solve in any dimension,
+and ``solve_hrt_theta`` is the one-parameter case of ``solve_theta_saa``
+for the scalar hazard-rate twist, projected onto [0, 1). Every pilot solve
+runs the same pre-tilt, pilot stage and damped Newton. The pre-tilt is
+multilevel cross-entropy on a continuous score whose event is {score > 0}
+(Rubinstein 1997; de Boer, Kroese, Mannor & Rubinstein 2005): each level
+raises the score level γ towards 0 and refits the tilt by matching the
+weighted mean of the statistic over the rows above γ, a moment match that
+is the damped Newton too, run on a one-row pilot.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.optimize import nnls
 
 from .errors import (
     DegeneratePilotError,
@@ -53,7 +56,8 @@ from .errors import (
 )
 from .oracle import rect_prob_gaussian
 from .randkit import (RngStream, _check_clayton_delta, _check_real, _check_sigma,
-                      _check_size, _trunc_exp_inverse_cdf, sample_gamma, sample_mvn)
+                      _check_size, _check_t_nu, _cholesky, _trunc_exp_inverse_cdf,
+                      sample_gamma, sample_mvn)
 
 __all__ = [
     "TiltFamily",
@@ -92,6 +96,8 @@ _CE_MAX_LEVELS = 40
 # closed-form Gaussian solver: residual tolerance and Newton step cap
 _TALLIS_TOL = 1e-10
 _TALLIS_MAX_ITERS = 100
+# large-deviation solver: KKT violation allowed, relative to 1 + max a*
+_LD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -115,15 +121,13 @@ class TiltFamily:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown tilting family {self.kind!r}")
-        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise ParameterError(f"dimension must be an integer of at least 1, got {self.d!r}")
+        _check_size(self.d, "dimension")
         if self.kind in ("mvn-shift", "t-gamma-normal"):
             if self.sigma is None:
                 raise ParameterError(f"{self.kind} requires a covariance matrix")
             object.__setattr__(self, "sigma", _check_sigma(self.sigma, self.d, unit_diag=False))
         if self.kind == "t-gamma-normal":
-            if not 0.0 < _check_real(self.nu, "nu") < np.inf:
-                raise ParameterError(f"degrees of freedom must be finite and > 0, got {self.nu}")
+            _check_t_nu(self.nu)
             if self.a_star is None:
                 raise ParameterError("t-gamma-normal requires the corner point a_star")
         if self.a_star is not None:
@@ -160,15 +164,12 @@ class TiltedSample:
     ``trunc-exp-product`` and ``hazard-rate``, the normal vector for
     ``mvn-shift``, the t vector for ``t-gamma-normal``, and the copula-scale
     vector for ``clayton-mo``. ``stat`` holds the tilting statistic entering
-    the weight, and ``log_lr`` is log dP/dQ_θ at each row. ``latent`` keeps
-    the raw pieces, such as (Y, Z) for the t family or (W, V) for the
-    frailty construction.
+    the weight, and ``log_lr`` is log dP/dQ_θ at each row.
     """
 
     x: np.ndarray
     stat: np.ndarray
     log_lr: np.ndarray
-    latent: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -360,11 +361,9 @@ def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSampl
     _check_size(n)
 
     if f.kind == "trunc-exp-product":
-        v = _trunc_exp_block(s, th, n)
-        x, stat, latent = v, v, (v,)
+        x = stat = _trunc_exp_block(s, th, n)
     elif f.kind == "mvn-shift":
-        x = sample_mvn(s, f.sigma @ th, f.sigma, n)
-        stat, latent = x, (x,)
+        x = stat = sample_mvn(s, f.sigma @ th, f.sigma, n)
     elif f.kind == "t-gamma-normal":
         rate = _margin(f, th) / 2.0
         y = sample_gamma(s, f.nu / 2.0, rate, n)
@@ -373,13 +372,11 @@ def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSampl
         z = z + r[:, None] * (f.sigma @ th)[None, :]
         stat = r[:, None] * z - (y / f.nu)[:, None] * f.a_star[None, :]
         x = z * np.sqrt(f.nu / y)[:, None]
-        latent = (y, z)
     elif f.kind == "clayton-mo":
         w = sample_gamma(s, 1.0 / f.delta, 1.0 - th[0], n)
         v = _trunc_exp_block(s, th[1:], n)
         x = (1.0 - np.log(v) / w[:, None]) ** (-1.0 / f.delta)
         stat = np.column_stack([w, v])
-        latent = (w, v)
     else:
         u = s.uniforms(n * f.d).reshape(n, f.d)
         if th[0] == 0.0:
@@ -388,10 +385,10 @@ def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSampl
             v = 1.0 - (1.0 - u) ** (1.0 / (1.0 - th[0]))
             v = np.minimum(v, 1.0 - 1e-16)
         stat = -np.sum(np.log1p(-v), axis=1)[:, None]
-        x, latent = v, (v,)
+        x = v
 
     log_lr = psi(f, th) - stat @ th
-    return TiltedSample(x=x, stat=stat, log_lr=log_lr, latent=latent)
+    return TiltedSample(x=x, stat=stat, log_lr=log_lr)
 
 
 # ---------------------------------------------------------------------------
@@ -734,41 +731,27 @@ def solve_theta_large_deviation(f: TiltFamily) -> TiltSolution:
     """Minimize the t family's cumulant over the nonnegative orthant.
 
     The cumulant decreases with the ellipsoid margin, so this is the
-    quadratic program min ½θ'Σθ − θ'a* subject to θ ≥ 0, solved exactly by
-    enumerating active sets (the dimension is at most a handful). With Σ
-    equal to the identity the answer is a* itself.
+    quadratic program min ½θ'Σθ − θ'a* subject to θ ≥ 0. With Σ = LLᵀ that is
+    the non-negative least-squares problem min ‖Lᵀθ − L⁻¹a*‖, one call to
+    scipy's active-set ``nnls`` in any dimension (Lawson & Hanson 1974,
+    ch. 23); an ``nnls`` that stops at its iteration cap raises
+    :class:`SolverError`. ``residual_norm`` is the KKT violation
+    ‖min(θ, Σθ − a*)‖∞, and the solve converged when it is at most
+    1e-10 (1 + max a*). With Σ equal to the identity the answer is a* itself.
     """
     if f.kind != "t-gamma-normal":
         raise ParameterError(f"large-deviation tilt applies to t-gamma-normal, not {f.kind}")
     a = f.a_star
     if np.any(a <= 0.0):
         raise DomainError(f"corner must be componentwise positive, got {a}")
-
-    d = f.d
-    tried = 0
-    for mask in range(1, 2**d):
-        idx = [i for i in range(d) if mask >> i & 1]
-        tried += 1
-        sub = np.linalg.solve(f.sigma[np.ix_(idx, idx)], a[idx])
-        if np.any(sub < -1e-12):
-            continue
-        theta = np.zeros(d)
-        theta[idx] = np.maximum(sub, 0.0)
-        slack = f.sigma @ theta - a
-        rest = [i for i in range(d) if i not in idx]
-        if rest and np.any(slack[rest] < -1e-10):
-            continue
-        resid = float(np.linalg.norm(np.minimum(theta, slack), np.inf))
-        return TiltSolution(
-            theta_o=theta,
-            method="large-deviation",
-            residual_norm=resid,
-            iterations=tried,
-            pilot_size=0,
-            pilot_hits=0,
-            G_hat_at_solution=None,
-            converged=True,
-        )
-    raise SolverError("no active set satisfied the optimality conditions")
-
-
+    L = _cholesky(f.sigma)
+    b = solve_triangular(L, a, lower=True)
+    try:
+        theta = nnls(L.T, b)[0]
+    except RuntimeError as exc:
+        raise SolverError(f"non-negative least squares for the large-deviation tilt "
+                          f"failed: {exc}") from exc
+    resid = float(np.linalg.norm(np.minimum(theta, f.sigma @ theta - a), np.inf))
+    return TiltSolution(theta_o=theta, method="large-deviation", residual_norm=resid,
+                        iterations=1, pilot_size=0, pilot_hits=0, G_hat_at_solution=None,
+                        converged=resid <= _LD_TOL * (1.0 + a.max()))

@@ -295,3 +295,26 @@ def test_estimate_one_dimensional_model(capsys, model):
                          "--n", "10", "--reps", "3")
     assert code == 0
     assert "sigma=[[1.0]];" in out["params"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--copula", "gaussian", "--rho", "0.9", "--sigma", "[[1, 0.5], [0.5, 1]]"),
+    ("--copula", "student-t", "--nu", "5", "--dim", "3", "--rho", "0.9",
+     "--sigma", "[[1, 0.5], [0.5, 1]]"),
+    ("--copula", "3d-vine", "--dim", "5"),
+], ids=["rho-and-sigma", "dim-against-sigma", "dim-against-vine"])
+def test_model_flags_the_model_would_ignore_are_refused(capsys, argv):
+    code = main(["oracle", *argv, "--p", "0.9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--rho" in captured.err or "--dim" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--copula", "gaussian", "--dim", "2", "--sigma", "[[1, 0.5], [0.5, 1]]"),
+    ("--copula", "3d-vine", "--dim", "3"),
+], ids=["sigma", "vine"])
+def test_a_matching_dimension_is_accepted(capsys, argv):
+    code, payload = run_json(capsys, "oracle", *argv, "--p", "0.9")
+    assert code == 0 and payload["value"] > 0.0

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, stdtr, stdtrit
 
+from tailtilt.copulas import vine_preset
 from tailtilt.errors import FactorizationError, ParameterError, ShapeError, SolverError
-from tailtilt.oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t
+from tailtilt.oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t, vine_corner_prob
 from tailtilt.tilting import truncated_mvn_first_moment
 
 
@@ -240,3 +241,21 @@ def test_clayton_rejects_bad_inputs():
     for d in (2.0, 2.5, True, "2"):
         with pytest.raises(ParameterError):
             clayton_corner_prob(3.0, 0.9, d)
+
+
+def test_clayton_rejects_a_parameter_whose_reciprocal_overflows():
+    # 1/delta is the shape of the frailty's gamma law; at 1e-320 it is inf
+    with pytest.raises(ParameterError, match="finite reciprocal"):
+        clayton_corner_prob(1e-320, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: clayton_corner_prob("3", 0.5),
+    lambda: clayton_corner_prob(3.0, "0.5"),
+    lambda: vine_corner_prob(vine_preset("3d"), "0.9"),
+    lambda: rect_prob_t("5", np.eye(2), [1.0, 1.0]),
+    lambda: rect_prob_gaussian(np.eye(2), ["a", 1]),
+], ids=["clayton-delta", "clayton-threshold", "vine-threshold", "t-nu", "gaussian-thresholds"])
+def test_oracles_refuse_non_numeric_arguments(call):
+    with pytest.raises(ParameterError, match="must be real"):
+        call()

@@ -14,6 +14,7 @@ from tailtilt.errors import DomainError, FactorizationError, ParameterError
 from tailtilt.randkit import (
     MarginSpec,
     RngStream,
+    _check_size,
     make_stream,
     margin_cdf,
     margin_quantile,
@@ -321,6 +322,13 @@ def test_mvn_correlated_moments_and_shifted_mean():
     c = np.corrcoef(x.T)[0, 1]
     assert abs(c - rho) < 4.0 * (1.0 - rho**2) / np.sqrt(N_BIG)
     np.testing.assert_allclose(x.mean(axis=0), sigma @ theta, atol=4.0 / np.sqrt(N_BIG))
+
+
+def test_size_check_names_what_it_counts():
+    with pytest.raises(ParameterError, match="sample size must be an integer"):
+        _check_size(0)
+    with pytest.raises(ParameterError, match="dimension must be an integer"):
+        _check_size(2.0, "dimension")
 
 
 def test_mvn_rejects_non_positive_definite_covariance():

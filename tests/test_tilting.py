@@ -19,6 +19,7 @@ from tailtilt.errors import (
     FactorizationError,
     ParameterError,
     ShapeError,
+    SolverError,
 )
 from tailtilt.estimators import ExperimentConfig, solve_event_theta
 from tailtilt.oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t
@@ -150,6 +151,13 @@ def test_family_validation():
     for d in (2.0, "2", True):
         with pytest.raises(ParameterError):
             TiltFamily("trunc-exp-product", d)
+
+
+def test_t_family_has_the_t_quantile_floor():
+    # the same floor as the t copula, pair and margin
+    with pytest.raises(ParameterError, match="at least 0.2"):
+        TiltFamily("t-gamma-normal", 2, sigma=corr(0.0), nu=0.05, a_star=np.ones(2))
+    assert TiltFamily("t-gamma-normal", 2, sigma=corr(0.0), nu=0.2, a_star=np.ones(2)).nu == 0.2
 
 
 def test_theta_dim_and_label():
@@ -319,38 +327,19 @@ def test_zero_tilt_reproduces_crude_draws_property(seed, n):
         assert s1.position == s2.position, f.kind
 
 
-def test_tilted_mean_mvn():
-    f = mvn_family(0.0)
-    ts = sample_tilted(f, make_stream(55, 331), (2.09, 2.09), 100_000)
-    assert np.all(np.abs(ts.x.mean(axis=0) - 2.09) < 0.02)
-
-
-def test_tilted_mean_trunc_exp():
-    # tilted uniform mean at strength 2 is e^2/(e^2 - 1) - 1/2
-    f = te_family()
-    ts = sample_tilted(f, make_stream(55, 332), (2.0, 2.0), 100_000)
-    want = np.e**2 / (np.e**2 - 1.0) - 0.5
-    se = ts.x.std(axis=0) / np.sqrt(100_000)
-    assert np.all(np.abs(ts.x.mean(axis=0) - want) < 4.0 * se)
-
-
-def test_tilted_gamma_mean_t_family():
-    a = 3.1419202680056277
-    f = t_family(a)
-    th = np.array([1.0, 1.0])
-    margin = 1.0 + 2.0 * th @ f.a_star / f.nu - th @ th / f.nu
-    ts = sample_tilted(f, make_stream(55, 333), th, 100_000)
-    y = ts.latent[0]
-    se = y.std() / np.sqrt(y.size)
-    assert abs(y.mean() - f.nu / margin) < 4.0 * se
-
-
-def test_tilted_frailty_mean_clayton():
-    f = clayton_family(3.0)
-    ts = sample_tilted(f, make_stream(55, 334), (0.5, 0.0, 0.0), 100_000)
-    w = ts.latent[0]
-    se = w.std() / np.sqrt(w.size)
-    assert abs(w.mean() - 1.0 / (3.0 * 0.5)) < 4.0 * se
+@pytest.mark.parametrize("f, th, stream", [
+    (mvn_family(0.0), (2.09, 2.09), 331),
+    (te_family(), (2.0, -1.0), 332),
+    (t_family(3.1419202680056277), (1.0, 1.0), 333),
+    (clayton_family(3.0), (0.5, 1.5, -2.0), 334),
+    (hazard_family(), (0.5,), 335),
+], ids=["mvn-shift", "trunc-exp-product", "t-gamma-normal", "clayton-mo", "hazard-rate"])
+def test_tilted_statistic_mean_is_the_cumulant_gradient(f, th, stream):
+    # the exponential-family identity E_Q[T] = grad psi(theta); for the t family
+    # the statistic's law depends on Y's tilted rate, the frailty's on W's
+    ts = sample_tilted(f, make_stream(55, stream), th, 100_000)
+    se = ts.stat.std(axis=0) / np.sqrt(len(ts.stat))
+    assert np.all(np.abs(ts.stat.mean(axis=0) - grad_psi(f, th)) < 4.0 * se)
 
 
 def test_likelihood_ratio_normalizes():
@@ -734,6 +723,38 @@ def test_large_deviation_validation():
         solve_theta_large_deviation(f)
     with pytest.raises(ParameterError):
         solve_theta_large_deviation(mvn_family(0.0))
+
+
+def test_large_deviation_meets_kkt_at_any_dimension():
+    # random correlation matrices and corners at d = 1..8 reach active sets
+    # of every size; the KKT conditions of the convex program certify the
+    # minimum: theta >= 0, slack = Sigma theta - a* >= 0, theta . slack = 0
+    rng = np.random.default_rng(2101)
+    cases = []
+    for d in range(1, 9):
+        for _ in range(25):
+            g = rng.standard_normal((d, d + 2))
+            sigma = g @ g.T
+            sigma /= np.sqrt(np.outer(np.diag(sigma), np.diag(sigma)))
+            cases.append((sigma, rng.uniform(0.1, 5.0, d)))
+    cases.append((corr(0.5, 16), np.linspace(1.0, 3.0, 16)))  # ten coordinates at 0
+    for sigma, a in cases:
+        f = TiltFamily("t-gamma-normal", len(a), sigma=sigma, nu=5.0, a_star=a)
+        sol = solve_theta_large_deviation(f)
+        th, slack = sol.theta_o, sigma @ sol.theta_o - a
+        assert sol.converged and sol.iterations == 1
+        assert np.all(th >= 0.0)
+        assert np.all(slack >= -1e-10 * (1.0 + a.max()))
+        assert abs(th @ slack) <= 1e-10 * (1.0 + th @ a)
+
+
+def test_large_deviation_nnls_failure_is_a_solver_error(monkeypatch):
+    def capped(A, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(tilting, "nnls", capped)
+    with pytest.raises(SolverError, match="Maximum number of iterations"):
+        solve_theta_large_deviation(t_family(3.0, rho=0.5))
 
 
 # ---------------------------------------------------------------------------
