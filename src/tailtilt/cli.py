@@ -177,8 +177,37 @@ def _build_margin(opt: dict) -> MarginSpec:
     return MarginSpec(kind)
 
 
+# the model flags each copula reads; the preset vines fix their own margins
+_MODEL_FLAGS = ("rho", "sigma", "nu", "delta", "dim", "margins", "margin_df", "margin_rate")
+_READS = {
+    "gaussian": ("rho", "sigma", "dim", "margins"),
+    "student-t": ("rho", "sigma", "nu", "dim", "margins"),
+    "clayton": ("delta", "dim", "margins"),
+    "3d-vine": ("dim",),
+    "4d-vine": ("dim",),
+}
+# the parameter flag each margin family reads
+_MARGIN_PARAM = {"student-t": "margin_df", "exponential": "margin_rate"}
+
+
+def _refuse_ignored_flags(opt: dict, family: str) -> None:
+    """Refuse every model flag given that ``family`` would not read."""
+    reads = set(_READS[family])
+    where = f"--copula {family}"
+    if "margins" in reads:
+        kind = opt.get("margins", "std-normal")
+        reads.add(_MARGIN_PARAM.get(kind))
+        where += f" with {kind} margins"
+    dropped = [f"--{key.replace('_', '-')}" for key in _MODEL_FLAGS
+               if opt.get(key) is not None and key not in reads]
+    if dropped:
+        raise ConfigError(f"{where} does not read {', '.join(dropped)}; leave "
+                          f"{'it' if len(dropped) == 1 else 'them'} out")
+
+
 def _build_model(opt: dict):
     family = _require(opt, "copula")
+    _refuse_ignored_flags(opt, family)
     if opt.get("dim", 2) < 1:
         raise ConfigError(f"--dim must be at least 1, got {opt['dim']}")
     if family in _VINES:

@@ -224,7 +224,7 @@ def _clayton_inverse(delta: float, v: np.ndarray) -> np.ndarray:
 def sample_copula_uniforms(
     c: CopulaSpec, s: RngStream, n: int, route: str = "direct"
 ) -> np.ndarray:
-    """Draw n copula-scale vectors U.
+    """Draw n copula-scale vectors U per stream of the block ``s``, stream-major.
 
     ``direct`` uses the latent construction (word order: gamma variables
     first where the family has them, then the Gaussian block or the uniform
@@ -233,7 +233,7 @@ def sample_copula_uniforms(
     """
     _check_size(n)
     if route == "cim":
-        v = s.uniforms(n * c.d).reshape(n, c.d)
+        v = s.uniforms(n * c.d).reshape(-1, c.d)
         return rosenblatt_inverse(c, v)
     if route != "direct":
         raise ParameterError(f"route must be 'direct' or 'cim', got {route!r}")
@@ -246,7 +246,7 @@ def sample_copula_uniforms(
         t = z * np.sqrt(c.nu / y)[:, None]
         return stdtr(c.nu, t)
     w = sample_gamma(s, 1.0 / c.delta, 1.0, n)
-    v = s.uniforms(n * c.d).reshape(n, c.d)
+    v = s.uniforms(n * c.d).reshape(-1, c.d)
     return (1.0 - np.log(v) / w[:, None]) ** (-1.0 / c.delta)
 
 

@@ -287,7 +287,8 @@ def vine_rosenblatt_inverse(rv: RVineSpec, v, keep=None) -> np.ndarray:
 
 
 def sample_vine_uniforms(s: RngStream, rv: RVineSpec, n: int) -> np.ndarray:
-    """Draw n copula-scale vectors from the vine by the conditional inverse map."""
+    """Draw n copula-scale vectors per stream of the block ``s``, stream-major,
+    from the vine by the conditional inverse map."""
     _check_size(n)
-    v = s.uniforms(n * rv.d).reshape(n, rv.d)
+    v = s.uniforms(n * rv.d).reshape(-1, rv.d)
     return vine_rosenblatt_inverse(rv, v)

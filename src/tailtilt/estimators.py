@@ -27,12 +27,13 @@ map passes the first uniform through as that coordinate (the Gaussian's to
 within 2.2e-16). The scores map every row.
 
 Every method draws replication r from ``make_stream(seed, r)``. Blocks of
-consecutive replications share one event test, and each replication's
-estimate is the mean of its own rows, so results are bit-identical for any
-block size and thread count. With the tilt vector at zero the importance
-samplers reproduce the crude draws bit for bit: is-t1 and is-t3 those of
-the conditional-inverse chain, is-t2 those of the latent construction. The
-crude estimate samples a vine on its chain, a parametric copula latently.
+consecutive replications share one draw, from the block of their streams,
+and one event test, and each replication's estimate is the mean of its own
+rows, so results are bit-identical for any block size and thread count.
+With the tilt vector at zero the importance samplers reproduce the crude
+draws bit for bit: is-t1 and is-t3 those of the conditional-inverse chain,
+is-t2 those of the latent construction. The crude estimate samples a vine
+on its chain, a parametric copula latently.
 
 Lower corners reuse the upper-corner machinery. The trunc-exp family simply
 tilts toward zero (its tilt space is two-sided), the hazard twist feeds
@@ -325,8 +326,8 @@ def _resolve_theta(cfg: ExperimentConfig, plan: _Plan) -> tuple[np.ndarray, floa
 _BLOCK_ROWS = 3072  # rows per block of replications, chosen by measurement
 
 
-def _stream_fns(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | None):
-    """``draw(s)``: a replication's arrays from stream s; ``test(*rows)``: a block's terms."""
+def _block_fns(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | None):
+    """``draw(s)``: the arrays of a block of streams s; ``test(*rows)``: their terms."""
     model, ev, n, d = cfg.model, cfg.event, cfg.n, cfg.model.d
     u0 = event_uniform_thresholds(model, ev)
     if plan is not None:
@@ -338,7 +339,7 @@ def _stream_fns(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | N
             return plan.indicator(TiltedSample(x, stat, log_lr)) * np.exp(log_lr)
     elif _is_vine(model):
         # sample_vine_uniforms' words, mapped where they can hit
-        draw = lambda s: (s.uniforms(n * d).reshape(n, d),)
+        draw = lambda s: (s.uniforms(n * d).reshape(-1, d),)
         test = lambda v: _chain_hits(model, v, u0, ev.direction) * 1.0
     else:
         draw = lambda s: (sample_copula_uniforms(model, s, n, "direct"),)
@@ -349,12 +350,13 @@ def _stream_fns(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | N
 def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     """Run M independent replications and aggregate them.
 
-    Replication r draws from ``make_stream(cfg.seed, r)``. Replications run
-    in blocks of about ``_BLOCK_ROWS`` rows that share one event test, and
-    each one's estimate is the mean of its own n terms, so the result is
-    bit-identical for any block size and ``threads``; more than one thread
-    spreads the blocks over a pool. Solving for the tilt, when ``cfg.theta``
-    is None, happens before the clock starts and is timed on its own as
+    Replication r draws from ``make_stream(cfg.seed, r)``. Blocks of about
+    ``_BLOCK_ROWS`` rows of consecutive replications share one draw, from
+    the block of their streams, and one event test, and each replication's
+    estimate is the mean of its own n terms, so the result is bit-identical
+    for any block size and ``threads``; more than one thread spreads the
+    blocks over a pool. Solving for the tilt, when ``cfg.theta`` is None,
+    happens before the clock starts and is timed on its own as
     ``solve_seconds``; a solve that did not converge raises
     :class:`SolverError` carrying the solver's report, and nothing is sampled.
     """
@@ -362,7 +364,7 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
         raise ParameterError(f"thread count must be at least 1, got {threads}")
     plan = _plan_for(cfg) if cfg.method != "naive" else None
     theta, solve_seconds = _resolve_theta(cfg, plan) if plan is not None else (None, 0.0)
-    draw, test = _stream_fns(cfg, plan, theta)
+    draw, test = _block_fns(cfg, plan, theta)
 
     M, n = cfg.M, cfg.n
     B = max(1, _BLOCK_ROWS // n)
@@ -370,16 +372,8 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
 
     def run(r0: int) -> np.ndarray:
         rs = range(r0, min(r0 + B, M))
-        rows = None
-        for i, r in enumerate(rs):
-            parts = draw(make_stream(cfg.seed, r))
-            if rows is None:  # one set of arrays per block
-                rows = [np.empty((len(rs) * n,) + a.shape[1:]) for a in parts]
-            for whole, a in zip(rows, parts):
-                whole[i * n:(i + 1) * n] = a
-        terms = test(*rows)
-        for i, r in enumerate(rs):
-            est[r] = terms[i * n:(i + 1) * n].mean()
+        terms = test(*draw(make_stream(cfg.seed, rs)))
+        est[rs.start:rs.stop] = terms.reshape(len(rs), n).mean(axis=1)
         return terms
 
     t0 = time.perf_counter()

@@ -1,12 +1,20 @@
 """Reproducible random streams, margin transforms, and base samplers.
 
-The stream model is counter-based: a :class:`RngStream` is keyed by
-``(seed, stream_id)`` through a Philox generator, so replication ``r`` of an
-experiment can use ``stream_id = r`` and obtain the same draws no matter how
-replications are scheduled across threads. Every variate ultimately consumes
-an integral number of raw 64-bit words, counted in ``stream.position``:
-uniforms cost one word each, normals are produced by quantile inversion
-(one word), and rejection samplers count the words they actually consume.
+The stream model is counter-based (Salmon, Moraes, Dror & Shaw 2011): the
+stream ``(seed, r)`` is the sequence of 64-bit words Philox4x64 gives under
+key ``(seed, r)``, so replication ``r`` of an experiment uses stream ``r``
+and obtains the same draws no matter how replications are scheduled across
+blocks and threads. A stream holds no generator, only its key and
+``position``, the count of words it has read; each read sets one shared
+Philox bit generator per thread to the stream's key and to counter
+``position // 4``, and skips ``position % 4`` words. An :class:`RngStream`
+is a block of consecutive streams, one or more: every sampler draws its
+count per stream and returns the streams' draws stream-major, so a block's
+arrays are exactly its streams' arrays laid end to end, and all the work
+after reading the words runs once per block. Every variate consumes an
+integral number of words: uniforms cost one word each, normals are produced
+by quantile inversion (one word), and rejection samplers count the words
+each stream actually consumes.
 
 Margins cover the four families the estimators need (standard normal,
 exponential, Student t, uniform), delegating CDFs and quantiles to
@@ -16,10 +24,11 @@ into the tails.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .errors import DomainError, FactorizationError, ParameterError, ShapeError
@@ -34,45 +43,96 @@ __all__ = [
     "sample_mvn",
 ]
 
-_U64_MAX = np.uint64(2**64 - 1)
+_M64 = 2**64 - 1
 _SHIFT11 = np.uint64(11)
 _INV_2_53 = 2.0**-53
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
+_THREAD = threading.local()
 
-@dataclass
+
+def _thread_philox() -> Philox:
+    """This thread's Philox bit generator. Every read sets its whole state
+    first, so the streams of any number of blocks can share it."""
+    bits = getattr(_THREAD, "philox", None)
+    if bits is None:
+        bits = _THREAD.philox = Philox(0)
+    return bits
+
+
+@dataclass(eq=False)
 class RngStream:
-    """A counter-based random stream identified by ``(seed, stream_id)``.
+    """A block of counter-based streams ``(seed, r)``, one per ``r`` in
+    ``stream_id``: an int for a block of one stream, a range for more.
 
-    ``position`` counts raw 64-bit words consumed so far; two streams with
-    equal key and equal position continue identically.
+    The block holds no generator. ``position`` counts the words each stream
+    has read, an int for one stream and an array for a range. Each read sets
+    this thread's Philox bit generator to the stream's key and to counter
+    ``position // 4`` and drops ``position % 4`` words, so a stream gives
+    the same words read alone or in a block, whole or in parts. Samplers
+    draw their count per stream and return the draws stream-major.
     """
 
     seed: int
-    stream_id: int
-    position: int = 0
-    _gen: Generator = field(repr=False, default=None)
+    stream_id: int | range
+    _bits: object = field(repr=False, default=None)  # None: this thread's Philox
+    _at: list[int] = field(init=False, repr=False)
 
-    def _raw(self, n: int) -> np.ndarray:
-        self.position += int(n)
-        return self._gen.integers(0, _U64_MAX, size=n, dtype=np.uint64, endpoint=True)
+    def __post_init__(self):
+        self._at = [0] * self.streams
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles strictly inside (0,1), one word per draw; the top
-        2¹¹ words, whose midpoint rounds to 1, give the largest double below 1."""
+    @property
+    def streams(self) -> int:
+        """How many streams the block holds."""
+        return len(self.stream_id) if isinstance(self.stream_id, range) else 1
+
+    @property
+    def position(self) -> int | np.ndarray:
+        """Words read so far: an int for one stream, one count per stream
+        for a range."""
+        return np.array(self._at) if isinstance(self.stream_id, range) else self._at[0]
+
+    def _raw(self, k) -> np.ndarray:
+        """``k`` words from every stream, stream-major; ``k`` is one count,
+        or a list of one count per stream."""
+        bits = self._bits if self._bits is not None else _thread_philox()
+        ids = self.stream_id if isinstance(self.stream_id, range) else (self.stream_id,)
+        counts = k if isinstance(k, list) else [int(k)] * len(ids)
+        seed = self.seed & _M64
+        parts = []
+        for i, (r, c) in enumerate(zip(ids, counts)):
+            if c:
+                p = self._at[i]
+                bits.state = {"bit_generator": "Philox",
+                              "state": {"counter": [p // 4, 0, 0, 0], "key": [seed, r & _M64]},
+                              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                              "has_uint32": 0, "uinteger": 0}
+                parts.append(bits.random_raw(p % 4 + c)[p % 4:])
+                self._at[i] = p + c
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+
+    def uniforms(self, n) -> np.ndarray:
+        """``n`` doubles strictly inside (0,1) per stream, one word per draw,
+        ``n`` being one count or a list of one count per stream; the top 2¹¹
+        words, whose midpoint rounds to 1, give the largest double below 1."""
         w = self._raw(n)
         u = ((w >> _SHIFT11).astype(np.float64) + 0.5) * _INV_2_53
         return np.minimum(u, _BELOW_ONE, out=u)
 
-    def normals(self, n: int) -> np.ndarray:
-        """``n`` standard normals by quantile inversion (one word each)."""
+    def normals(self, n) -> np.ndarray:
+        """``n`` standard normals per stream, counted as in :meth:`uniforms`,
+        by quantile inversion (one word each)."""
         return ndtri(self.uniforms(n))
 
 
-def make_stream(seed: int, stream_id: int) -> RngStream:
-    """Create the stream for replication ``stream_id`` under ``seed``."""
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(stream_id & (2**64 - 1))])
-    return RngStream(seed=int(seed), stream_id=int(stream_id), _gen=Generator(Philox(key=key)))
+def make_stream(seed: int, stream_id: int | range) -> RngStream:
+    """The stream of replication ``stream_id`` under ``seed``, or the block
+    of the streams of a range of replications."""
+    if not isinstance(stream_id, range):
+        stream_id = int(stream_id)
+    return RngStream(seed=int(seed), stream_id=stream_id)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +218,14 @@ def _trunc_exp_inverse_cdf(u: np.ndarray, t: float) -> np.ndarray:
 
 
 def sample_gamma(s: RngStream, shape: float, rate: float, n: int = 1) -> np.ndarray:
-    """Draw Gamma(shape, rate) variates (mean shape/rate).
+    """Draw ``n`` Gamma(shape, rate) variates (mean shape/rate) per stream.
 
     Marsaglia-Tsang rejection for shape >= 1; smaller shapes use the
-    boosting identity G(a) = G(a+1) * U^{1/a}. Draw counts are data
-    dependent but fully determined by the stream, so reproducibility holds.
+    boosting identity G(a) = G(a+1) * U^{1/a}. Each round, every stream
+    still short of ``n`` reads m normal words and then m uniform words, m
+    being what it lacks, and keeps its accepted candidates in order; one
+    acceptance test covers the whole block. Word counts are data dependent
+    but fully determined by each stream, so reproducibility holds.
     """
     shape = float(shape)
     rate = float(rate)
@@ -174,19 +237,23 @@ def sample_gamma(s: RngStream, shape: float, rate: float, n: int = 1) -> np.ndar
     a = shape if shape >= 1.0 else shape + 1.0
     d = a - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
-    while filled < n:
-        m = n - filled
-        x = s.normals(m)
-        u = s.uniforms(m)
+    out = np.empty(s.streams * n, dtype=np.float64)
+    filled = [0] * s.streams
+    while any(f < n for f in filled):
+        lack = [n - f for f in filled]
+        x = s.normals(lack)
+        u = s.uniforms(lack)
         v = (1.0 + c * x) ** 3
         ok = v > 0
         vsafe = np.where(ok, v, 1.0)
         acc = ok & (np.log(u) < 0.5 * x * x + d - d * vsafe + d * np.log(vsafe))
-        k = int(np.count_nonzero(acc))
-        out[filled : filled + k] = d * vsafe[acc]
-        filled += k
+        kept = d * vsafe[acc]
+        at = took = 0
+        for i, m in enumerate(lack):
+            k = int(np.count_nonzero(acc[at:at + m]))
+            out[i * n + filled[i]:i * n + filled[i] + k] = kept[took:took + k]
+            filled[i] += k
+            at, took = at + m, took + k
     if shape < 1.0:
         out *= s.uniforms(n) ** (1.0 / shape)
     return out / rate
@@ -280,9 +347,19 @@ def _check_clayton_delta(delta: float, what: str) -> None:
 
 
 def sample_mvn(s: RngStream, mean, sigma, n: int = 1) -> np.ndarray:
-    """Draw ``n`` vectors from MN(mean, sigma) via the cached Cholesky factor."""
+    """Draw ``n`` vectors per stream from MN(mean, sigma) via the cached
+    Cholesky factor, one row per vector."""
     L = _cholesky(sigma)
     d = L.shape[0]
     mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), (d,))
-    z = s.normals(n * d).reshape(n, d)
-    return mean + z @ L.T
+    z = s.normals(n * d).reshape(-1, d)
+    return mean + _rows_times(z, L.T)
+
+
+def _rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-d ``a``, every row rounded as in a product of many
+    rows: numpy hands a single row to a dot kernel that rounds otherwise, so
+    a row's value would depend on how many rows it was drawn with."""
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b

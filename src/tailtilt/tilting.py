@@ -56,8 +56,8 @@ from .errors import (
 )
 from .oracle import rect_prob_gaussian
 from .randkit import (RngStream, _check_clayton_delta, _check_real, _check_sigma,
-                      _check_size, _check_t_nu, _cholesky, _trunc_exp_inverse_cdf,
-                      sample_gamma, sample_mvn)
+                      _check_size, _check_t_nu, _cholesky, _rows_times,
+                      _trunc_exp_inverse_cdf, sample_gamma, sample_mvn)
 
 __all__ = [
     "TiltFamily",
@@ -342,8 +342,8 @@ def hess_psi(f: TiltFamily, theta) -> np.ndarray:
 
 
 def _trunc_exp_block(s: RngStream, th: np.ndarray, n: int) -> np.ndarray:
-    """``n`` rows of independent uniforms, column j tilted by ``th[j]``."""
-    u = s.uniforms(n * len(th)).reshape(n, len(th))
+    """``n`` rows per stream of independent uniforms, column j tilted by ``th[j]``."""
+    u = s.uniforms(n * len(th)).reshape(-1, len(th))
     v = np.empty_like(u)
     for j, t in enumerate(th):
         v[:, j] = _trunc_exp_inverse_cdf(u[:, j], t)
@@ -351,7 +351,7 @@ def _trunc_exp_block(s: RngStream, th: np.ndarray, n: int) -> np.ndarray:
 
 
 def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSample:
-    """Draw ``n`` rows from Q_θ.
+    """Draw ``n`` rows from Q_θ per stream of the block ``s``, stream-major.
 
     At the zero tilt every family consumes the stream exactly like the
     matching crude sampler and reproduces its draws bit for bit, with all
@@ -378,7 +378,7 @@ def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSampl
         x = (1.0 - np.log(v) / w[:, None]) ** (-1.0 / f.delta)
         stat = np.column_stack([w, v])
     else:
-        u = s.uniforms(n * f.d).reshape(n, f.d)
+        u = s.uniforms(n * f.d).reshape(-1, f.d)
         if th[0] == 0.0:
             v = u
         else:
@@ -387,7 +387,7 @@ def sample_tilted(f: TiltFamily, s: RngStream, theta, n: int = 1) -> TiltedSampl
         stat = -np.sum(np.log1p(-v), axis=1)[:, None]
         x = v
 
-    log_lr = psi(f, th) - stat @ th
+    log_lr = psi(f, th) - _rows_times(stat, th)
     return TiltedSample(x=x, stat=stat, log_lr=log_lr)
 
 

@@ -311,6 +311,32 @@ def test_model_flags_the_model_would_ignore_are_refused(capsys, argv):
     assert "--rho" in captured.err or "--dim" in captured.err
 
 
+@pytest.mark.parametrize("argv, dropped", [
+    (("--copula", "clayton", "--delta", "3", "--rho", "0.9", "--nu", "4", "--p", "2"),
+     ("--rho", "--nu")),
+    (("--copula", "gaussian", "--rho", "0.5", "--delta", "7", "--p", "2"), ("--delta",)),
+    (("--copula", "3d-vine", "--margins", "exponential", "--delta", "2", "--p", "0.5"),
+     ("--margins", "--delta")),
+    (("--copula", "gaussian", "--rho", "0.5", "--margin-df", "3", "--p", "2"),
+     ("--margin-df",)),
+], ids=["clayton", "gaussian", "vine", "margin-df"])
+def test_flags_of_another_model_are_refused_by_name(capsys, argv, dropped):
+    code = main(["oracle", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    for flag in dropped:
+        assert flag in captured.err
+
+
+def test_config_keys_of_another_model_are_refused(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"copula": "gaussian", "rho": 0.5, "nu": 4.0, "p": [2.0]}))
+    code = main(["oracle", "--config", str(cfg)])
+    assert code == 2
+    assert "--nu" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("--copula", "gaussian", "--dim", "2", "--sigma", "[[1, 0.5], [0.5, 1]]"),
     ("--copula", "3d-vine", "--dim", "3"),

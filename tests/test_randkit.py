@@ -8,9 +8,11 @@ under the fixed seeds yet would catch a real distributional bug.
 import mpmath
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.stats import kstest
 
 from tailtilt.errors import DomainError, FactorizationError, ParameterError
+from tailtilt.estimators import SOLVER_STREAM
 from tailtilt.randkit import (
     MarginSpec,
     RngStream,
@@ -67,6 +69,32 @@ def test_position_counts_words_and_splits_are_invariant():
     assert u.shape == (7,)
 
 
+@pytest.mark.parametrize("stream_id", [0, 7, SOLVER_STREAM])
+@pytest.mark.parametrize("seed", [0, 31, 2**63 + 5])
+def test_stream_words_are_the_philox_generator_words(seed, stream_id):
+    # the words numpy's Generator gives under key (seed, stream id), so every
+    # seed's estimates stay what they were when streams were Generators; the
+    # key is built as uint64, which a list of a seed above 2^63 would not be
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    want = Generator(Philox(key=key)).integers(
+        0, 2**64 - 1, size=1003, dtype=np.uint64, endpoint=True)
+    np.testing.assert_array_equal(make_stream(seed, stream_id)._raw(1003), want)
+    split = make_stream(seed, stream_id)
+    np.testing.assert_array_equal(np.concatenate([split._raw(7), split._raw(996)]), want)
+    assert split.position == 1003
+
+
+def test_a_block_reads_each_stream_words():
+    block = make_stream(42, range(3, 6))
+    u = block.uniforms(5)
+    want = np.concatenate([make_stream(42, r).uniforms(5) for r in range(3, 6)])
+    np.testing.assert_array_equal(u, want)
+    np.testing.assert_array_equal(block.position, [5, 5, 5])
+    block._raw([0, 2, 1])
+    np.testing.assert_array_equal(block.position, [5, 7, 6])
+    assert isinstance(make_stream(42, 3).position, int)
+
+
 def test_distinct_stream_ids_decorrelate():
     u0 = make_stream(42, 0).uniforms(N_BIG)
     u1 = make_stream(42, 1).uniforms(N_BIG)
@@ -82,12 +110,14 @@ def test_uniforms_lie_strictly_inside_unit_interval():
 
 
 class FixedWords:
-    """Stands in for a stream's generator: returns the given raw words."""
+    """Stands in for a stream's bit generator: takes any state and returns
+    the given raw words."""
 
     def __init__(self, words):
         self.words = np.array(words, dtype=np.uint64)
+        self.state = None
 
-    def integers(self, low, high, size, dtype, endpoint):
+    def random_raw(self, size):
         return self.words[:size].copy()
 
 
@@ -96,7 +126,7 @@ def edge_stream() -> RngStream:
     2⁶⁴: both ends of the uniform grid, and the top 2¹¹ words, whose
     midpoint rounds to 1."""
     return RngStream(seed=0, stream_id=0,
-                     _gen=FixedWords([0, 2**11, 2**64 - 2**11, 2**64 - 1]))
+                     _bits=FixedWords([0, 2**11, 2**64 - 2**11, 2**64 - 1]))
 
 
 def test_uniforms_at_the_top_words_stay_below_one():
@@ -289,6 +319,22 @@ def test_gamma_is_reproducible_despite_rejection():
     a = sample_gamma(make_stream(21, 8), 0.4, 1.5, 5000)
     b = sample_gamma(make_stream(21, 8), 0.4, 1.5, 5000)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 7, 500])
+@pytest.mark.parametrize("shape", [2.5, 1.0 / 3.0])
+def test_gamma_block_equals_its_streams(shape, n):
+    # under seed 23, stream 64 of 60..67 needs a second rejection round at n = 1
+    ids = range(60, 68)
+    alone, positions = [], []
+    for r in ids:
+        s = make_stream(23, r)
+        alone.append(sample_gamma(s, shape, 0.7, n))
+        positions.append(s.position)
+    block = make_stream(23, ids)
+    np.testing.assert_array_equal(sample_gamma(block, shape, 0.7, n), np.concatenate(alone))
+    np.testing.assert_array_equal(block.position, positions)
+    assert len(set(positions)) > 1
 
 
 def test_gamma_rejects_bad_parameters():

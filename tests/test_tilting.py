@@ -327,6 +327,40 @@ def test_zero_tilt_reproduces_crude_draws_property(seed, n):
         assert s1.position == s2.position, f.kind
 
 
+BLOCK_DRAWS = {
+    "trunc-exp-product": lambda s, n: sample_tilted(te_family(), s, (2.0, -1.0), n),
+    "mvn-shift": lambda s, n: sample_tilted(mvn_family(0.5), s, (1.2, 0.4), n),
+    "t-gamma-normal": lambda s, n: sample_tilted(t_family(2.0, rho=0.3), s, (0.8, 0.8), n),
+    "clayton-mo": lambda s, n: sample_tilted(clayton_family(), s, (0.5, 2.0, 2.0), n),
+    "hazard-rate": lambda s, n: sample_tilted(hazard_family(3), s, (0.5,), n),
+    "gaussian": lambda s, n: sample_copula_uniforms(
+        CopulaSpec("gaussian", (UNIF, UNIF), sigma=corr(0.5)), s, n),
+    "student-t": lambda s, n: sample_copula_uniforms(
+        CopulaSpec("student-t", (UNIF, UNIF, UNIF), sigma=corr(0.3, 3), nu=0.6), s, n),
+    "clayton": lambda s, n: sample_copula_uniforms(
+        CopulaSpec("clayton", (UNIF, UNIF), delta=3.0), s, n),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 500])
+@pytest.mark.parametrize("name", list(BLOCK_DRAWS))
+def test_a_block_of_streams_draws_its_streams_stacked(name, n):
+    def arrays(out):
+        return (out.x, out.stat, out.log_lr) if hasattr(out, "log_lr") else (out,)
+
+    ids = range(60, 68)
+    alone, positions = [], []
+    for r in ids:
+        s = make_stream(23, r)
+        alone.append(arrays(BLOCK_DRAWS[name](s, n)))
+        positions.append(s.position)
+    block = make_stream(23, ids)
+    got = arrays(BLOCK_DRAWS[name](block, n))
+    for k, a in enumerate(got):
+        assert np.array_equal(a, np.concatenate([parts[k] for parts in alone])), k
+    assert np.array_equal(block.position, positions)
+
+
 @pytest.mark.parametrize("f, th, stream", [
     (mvn_family(0.0), (2.09, 2.09), 331),
     (te_family(), (2.0, -1.0), 332),
