@@ -58,34 +58,21 @@ class BenchmarkCase:
 
     key: str
     title: str
-    kind: str
+    model: CopulaSpec | RVineSpec
     p: tuple[float, ...]
     methods: tuple[str, ...]
     reference: Mapping[str, Mapping[str, tuple]]
-    rho: float = 0.0
-    margin: MarginSpec = _NORMAL
-
-    def model(self) -> CopulaSpec | RVineSpec:
-        if self.kind == "gaussian2":
-            return CopulaSpec("gaussian", (self.margin,) * 2, sigma=_corr2(self.rho))
-        if self.kind == "gaussian4":
-            return CopulaSpec("gaussian", (self.margin,) * 4, sigma=_tridiag4())
-        if self.kind == "t2d":
-            return CopulaSpec("student-t", (self.margin,) * 2, sigma=_corr2(self.rho), nu=5.0)
-        if self.kind == "clayton2":
-            return CopulaSpec("clayton", (self.margin,) * 2, delta=3.0)
-        return vine_preset(self.kind)
 
 
-def _case(key, title, kind, p, ref, rho=0.0, margin=_NORMAL) -> BenchmarkCase:
+def _case(key, title, model, p, ref) -> BenchmarkCase:
     methods = tuple(m for m in ("is-t1", "is-t2", "is-t3") if m in ref)
-    return BenchmarkCase(key=key, title=title, kind=kind, p=tuple(p), methods=methods,
-                         reference=ref, rho=rho, margin=margin)
+    return BenchmarkCase(key, title, model, tuple(p), methods, ref)
 
 
 _CASES = (
     _case(
-        "1", "gaussian rho=0, std-normal margins", "gaussian2",
+        "1", "gaussian rho=0, std-normal margins",
+        CopulaSpec("gaussian", (_NORMAL,) * 2, sigma=_corr2(0.0)),
         (0.760, 1.282, 1.471, 1.857),
         {
             "naive": {"u": (4.99e-2, 1.00e-2, 5.00e-3, 1.00e-3),
@@ -105,7 +92,8 @@ _CASES = (
         },
     ),
     _case(
-        "2", "gaussian rho=0.5, std-normal margins", "gaussian2",
+        "2", "gaussian rho=0.5, std-normal margins",
+        CopulaSpec("gaussian", (_NORMAL,) * 2, sigma=_corr2(0.5)),
         (1.100, 1.712, 1.936, 2.395),
         {
             "naive": {"u": (5.02e-2, 1.00e-2, 5.10e-3, 1.00e-3),
@@ -123,10 +111,10 @@ _CASES = (
                       "sd": (5.85e-3, 1.56e-3, 8.70e-4, 2.13e-4),
                       "sd_eff": (1.70, 2.83, 3.67, 6.57)},
         },
-        rho=0.5,
     ),
     _case(
-        "3", "gaussian rho=-0.5, std-normal margins", "gaussian2",
+        "3", "gaussian rho=-0.5, std-normal margins",
+        CopulaSpec("gaussian", (_NORMAL,) * 2, sigma=_corr2(-0.5)),
         (0.411, 0.806, 0.947, 1.233),
         {
             "naive": {"u": (5.03e-2, 1.01e-2, 5.00e-3, 1.00e-3),
@@ -144,10 +132,10 @@ _CASES = (
                       "sd": (7.69e-3, 2.06e-3, 1.15e-3, 3.05e-4),
                       "sd_eff": (1.29, 2.16, 2.70, 4.49)},
         },
-        rho=-0.5,
     ),
     _case(
-        "4", "gaussian rho=0, exponential margins", "gaussian2",
+        "4", "gaussian rho=0, exponential margins",
+        CopulaSpec("gaussian", (_EXP,) * 2, sigma=_corr2(0.0)),
         (1.498, 2.303, 2.649, 3.454),
         {
             "naive": {"u": (4.99e-2, 0.99e-2, 5.07e-3, 1.04e-3),
@@ -165,10 +153,10 @@ _CASES = (
                       "sd": (6.50e-3, 1.77e-3, 9.52e-4, 2.39e-4),
                       "sd_eff": (1.49, 2.54, 3.33, 6.07)},
         },
-        margin=_EXP,
     ),
     _case(
-        "5", "gaussian rho=0.5, exponential margins", "gaussian2",
+        "5", "gaussian rho=0.5, exponential margins",
+        CopulaSpec("gaussian", (_EXP,) * 2, sigma=_corr2(0.5)),
         (1.997, 3.137, 3.633, 4.791),
         {
             "naive": {"u": (5.02e-2, 1.01e-2, 5.06e-3, 0.99e-3),
@@ -186,10 +174,10 @@ _CASES = (
                       "sd": (5.89e-3, 1.53e-3, 8.68e-4, 2.09e-4),
                       "sd_eff": (1.66, 2.93, 3.68, 6.75)},
         },
-        rho=0.5, margin=_EXP,
     ),
     _case(
-        "6", "gaussian rho=-0.5, exponential margins", "gaussian2",
+        "6", "gaussian rho=-0.5, exponential margins",
+        CopulaSpec("gaussian", (_EXP,) * 2, sigma=_corr2(-0.5)),
         (1.078, 1.560, 1.761, 2.218),
         {
             "naive": {"u": (5.01e-2, 0.98e-2, 4.95e-3, 1.03e-3),
@@ -207,10 +195,10 @@ _CASES = (
                       "sd": (7.71e-3, 2.10e-3, 1.16e-3, 3.08e-4),
                       "sd_eff": (1.26, 2.06, 2.75, 4.61)},
         },
-        rho=-0.5, margin=_EXP,
     ),
     _case(
-        "7", "gaussian 4-d tridiagonal, std-normal margins", "gaussian4",
+        "7", "gaussian 4-d tridiagonal, std-normal margins",
+        CopulaSpec("gaussian", (_NORMAL,) * 4, sigma=_tridiag4()),
         (0.394, 0.886, 1.064, 1.428),
         {
             "naive": {"u": (4.98e-2, 1.01e-2, 5.03e-3, 1.00e-3),
@@ -223,7 +211,8 @@ _CASES = (
         },
     ),
     _case(
-        "8", "gaussian 4-d tridiagonal, exponential margins", "gaussian4",
+        "8", "gaussian 4-d tridiagonal, exponential margins",
+        CopulaSpec("gaussian", (_EXP,) * 4, sigma=_tridiag4()),
         (1.059, 1.673, 1.941, 2.569),
         {
             "naive": {"u": (5.02e-2, 1.01e-2, 5.03e-3, 1.00e-3),
@@ -234,10 +223,10 @@ _CASES = (
                       "sd": (4.44e-3, 1.21e-3, 6.69e-4, 1.61e-4),
                       "sd_eff": (2.23, 3.74, 4.68, 8.68)},
         },
-        margin=_EXP,
     ),
     _case(
-        "9", "t nu=5 rho=0, t2 margins", "t2d",
+        "9", "t nu=5 rho=0, t2 margins",
+        CopulaSpec("student-t", (_T2,) * 2, sigma=_corr2(0.0), nu=5.0),
         (1.000, 2.268, 3.066, 6.128),
         {
             "naive": {"u": (5.02e-2, 1.00e-2, 5.00e-3, 1.00e-3),
@@ -255,10 +244,10 @@ _CASES = (
                       "sd": (6.12e-3, 1.53e-3, 8.38e-4, 2.01e-4),
                       "sd_eff": (1.59, 2.94, 3.71, 7.11)},
         },
-        margin=_T2,
     ),
     _case(
-        "10", "t nu=5 rho=0.5, t2 margins", "t2d",
+        "10", "t nu=5 rho=0.5, t2 margins",
+        CopulaSpec("student-t", (_T2,) * 2, sigma=_corr2(0.5), nu=5.0),
         (1.592, 3.677, 5.111, 10.938),
         {
             "naive": {"u": (5.01e-2, 1.00e-2, 5.10e-3, 1.00e-3),
@@ -276,10 +265,10 @@ _CASES = (
                       "sd": (5.81e-3, 1.49e-3, 8.30e-4, 1.99e-4),
                       "sd_eff": (1.68, 2.97, 3.86, 7.24)},
         },
-        rho=0.5, margin=_T2,
     ),
     _case(
-        "11", "t nu=5 rho=-0.5, t2 margins", "t2d",
+        "11", "t nu=5 rho=-0.5, t2 margins",
+        CopulaSpec("student-t", (_T2,) * 2, sigma=_corr2(-0.5), nu=5.0),
         (0.502, 1.197, 1.573, 2.842),
         {
             "naive": {"u": (5.01e-2, 0.99e-2, 5.00e-3, 1.00e-3),
@@ -297,10 +286,10 @@ _CASES = (
                       "sd": (7.36e-3, 1.79e-3, 9.58e-4, 2.25e-4),
                       "sd_eff": (1.32, 2.45, 3.31, 6.27)},
         },
-        rho=-0.5, margin=_T2,
     ),
     _case(
-        "12", "clayton delta=3, std-normal margins", "clayton2",
+        "12", "clayton delta=3, std-normal margins",
+        CopulaSpec("clayton", (_NORMAL,) * 2, delta=3.0),
         (1.115, 1.600, 1.780, 2.130),
         {
             "naive": {"u": (5.03e-2, 1.03e-2, 5.10e-3, 1.00e-3),
@@ -321,7 +310,8 @@ _CASES = (
         },
     ),
     _case(
-        "3d-vine", "3-d vine, uniform margins", "3d",
+        "3d-vine", "3-d vine, uniform margins",
+        vine_preset("3d"),
         (0.9, 0.95, 0.975),
         {
             "naive": {"u": (2.40e-2, 8.73e-3, 3.16e-3),
@@ -337,7 +327,8 @@ _CASES = (
         },
     ),
     _case(
-        "4d-vine", "4-d vine, uniform margins", "4d",
+        "4d-vine", "4-d vine, uniform margins",
+        vine_preset("4d"),
         (0.9, 0.95, 0.975),
         {
             "naive": {"u": (2.33e-2, 8.36e-3, 3.04e-3),
@@ -398,7 +389,7 @@ def run_case(
     :class:`SolverError`.
     """
     case = get_case(key)
-    model = case.model()
+    model = case.model
     if methods is None:
         methods = ("naive",) + case.methods
     elif "naive" not in methods:

@@ -393,11 +393,10 @@ def _cmd_bench(opt: dict) -> int:
         methods = tuple(m.strip() for m in opt["methods"].split(",") if m.strip())
     all_rows = []
     for key in keys:
-        case = get_case(key)
+        model = get_case(key).model
         rows = run_case(key, methods=methods, n=opt.get("n", 500),
                         M=opt.get("reps", 5000), seed=opt.get("seed", 0),
                         p_values=tuple(opt["p"]) if opt.get("p") else None)
-        model = case.model()
         for r in rows:
             all_rows.append(_csv_row(model, (r.p,) * model.d, r.result, opt.get("seed", 0)))
     _write_rows(all_rows, opt.get("csv"))
@@ -406,12 +405,11 @@ def _cmd_bench(opt: dict) -> int:
 
 def _cmd_reproduce(opt: dict) -> int:
     key = opt["table"]
-    case = get_case(key)
+    model = get_case(key).model
     rows = run_case(key, n=opt.get("n", 500), M=opt.get("reps", 5000),
                     seed=opt.get("seed", 0))
     print(format_comparison(key, rows))
     if opt.get("csv"):
-        model = case.model()
         _write_rows([_csv_row(model, (r.p,) * model.d, r.result, opt.get("seed", 0))
                      for r in rows], opt["csv"])
     return 0

@@ -140,8 +140,9 @@ class RVineSpec:
 # text format
 
 
-def parse_vine(text: str, margins=None) -> RVineSpec:
-    """Build a vine from its text form (see the module docstring)."""
+def parse_vine(text: str) -> RVineSpec:
+    """Build a vine on uniform margins from its text form (see the module
+    docstring); ``dataclasses.replace(rv, margins=...)`` puts it on others."""
     edges = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -177,15 +178,13 @@ def parse_vine(text: str, margins=None) -> RVineSpec:
         edges.append(VineEdge(conditioned=(i, j), conditioning=tuple(conditioning), pair=pair))
 
     d = max((v for e in edges for v in e.conditioned + e.conditioning), default=0)
-    if margins is None:
-        margins = tuple(MarginSpec("uniform01") for _ in range(d))
-    return RVineSpec(edges=tuple(edges), margins=tuple(margins))
+    return RVineSpec(edges=tuple(edges), margins=(MarginSpec("uniform01"),) * d)
 
 
-def load_vine(path, margins=None) -> RVineSpec:
+def load_vine(path) -> RVineSpec:
     """Read a vine edge list from a text file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_vine(fh.read(), margins=margins)
+        return parse_vine(fh.read())
 
 
 _PRESET_3D = """
@@ -206,12 +205,12 @@ _PRESET_4D = """
 """
 
 
-def vine_preset(name: str, margins=None) -> RVineSpec:
-    """Built-in example vines: ``3d`` and ``4d``."""
+def vine_preset(name: str) -> RVineSpec:
+    """Built-in example vines on uniform margins: ``3d`` and ``4d``."""
     if name == "3d":
-        return parse_vine(_PRESET_3D, margins=margins)
+        return parse_vine(_PRESET_3D)
     if name == "4d":
-        return parse_vine(_PRESET_4D, margins=margins)
+        return parse_vine(_PRESET_4D)
     raise ParameterError(f"unknown vine preset {name!r}; available: '3d', '4d'")
 
 

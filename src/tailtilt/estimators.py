@@ -26,10 +26,11 @@ the rows whose first coordinate can still reach it: every parametric inverse
 map passes the first uniform through as that coordinate (the Gaussian's to
 within 2.2e-16). The scores map every row.
 
-Every method draws replication r from ``make_stream(seed, r)``. Blocks of
-consecutive replications share one draw, from the block of their streams,
-and one event test, and each replication's estimate is the mean of its own
-rows, so results are bit-identical for any block size and thread count.
+Every method draws replication r from ``make_stream(seed, r)``. A block of
+consecutive replications is one function call: it draws from the block of
+their streams and tests the event once on all their rows, and each
+replication's estimate is the mean of its own rows, so results are
+bit-identical for any block size and thread count.
 With the tilt vector at zero the importance samplers reproduce the crude
 draws bit for bit: is-t1 and is-t3 those of the conditional-inverse chain,
 is-t2 those of the latent construction. The crude estimate samples a vine
@@ -66,7 +67,6 @@ from .errors import ConfigError, DomainError, ParameterError, SolverError
 from .randkit import make_stream
 from .tilting import (
     TiltFamily,
-    TiltedSample,
     TiltSolution,
     psi,
     sample_tilted,
@@ -98,8 +98,10 @@ class ExperimentConfig:
 
     ``theta`` is the tilt to use; leave it None to have :func:`replicate`
     solve for it, and refuse a solve that did not converge. The crude
-    estimator samples a vine on its conditional-inverse chain and a
-    parametric copula through its latent construction.
+    estimator takes no tilt; it samples a vine on its conditional-inverse
+    chain and a parametric copula through its latent construction. A solved
+    run takes at most ``SOLVER_STREAM`` replications, so that none of them
+    draws from the solver's stream.
     """
 
     model: CopulaSpec | RVineSpec
@@ -111,13 +113,24 @@ class ExperimentConfig:
     theta: object = None
 
     def __post_init__(self):
+        if not isinstance(self.model, (CopulaSpec, RVineSpec)):
+            raise ConfigError("model must be a CopulaSpec or RVineSpec, "
+                              f"got {type(self.model).__name__}")
+        if not isinstance(self.event, CornerEvent):
+            raise ConfigError(f"event must be a CornerEvent, got {type(self.event).__name__}")
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose one of {_METHODS}")
+        if self.method == "naive" and self.theta is not None:
+            raise ConfigError("the crude estimator uses no tilt; leave theta unset")
         for name, v in (("n", self.n), ("M", self.M), ("seed", self.seed)):
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.n < 1 or self.M < 1:
             raise ConfigError(f"need n >= 1 and M >= 1, got n={self.n}, M={self.M}")
+        if self.theta is None and self.method != "naive" and self.M > SOLVER_STREAM:
+            raise ConfigError(f"a solved run takes at most {SOLVER_STREAM} replications, "
+                              f"got M={self.M}: replication {SOLVER_STREAM} would draw from "
+                              "the solver's stream; give theta to run more")
         try:
             np.asarray(0.0 if self.theta is None else self.theta, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -314,48 +327,45 @@ def _resolve_theta(cfg: ExperimentConfig, plan: _Plan) -> tuple[np.ndarray, floa
             raise SolverError(f"tilt solver did not converge:\n{sol.report()}")
         return np.atleast_1d(np.asarray(sol.theta_o, dtype=np.float64)), seconds
     th = np.atleast_1d(np.asarray(cfg.theta, dtype=np.float64))
-    if cfg.method == "is-t3" and not 0.0 <= th[0] < 1.0:
-        raise DomainError(f"hazard twist must lie in [0, 1), got {th[0]:.6g}")
     with np.errstate(over="ignore"):
         log_mgf = psi(plan.family, th)  # validates shape and domain
     if not np.isfinite(log_mgf):
         raise DomainError(f"the cumulant of {plan.family.label()} is not finite at tilt {th}")
+    if cfg.method == "is-t3" and th[0] < 0.0:
+        raise DomainError(f"hazard twist must lie in [0, 1), got {th[0]:.6g}")
     return th, 0.0
 
 
 _BLOCK_ROWS = 3072  # rows per block of replications, chosen by measurement
 
 
-def _block_fns(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | None):
-    """``draw(s)``: the arrays of a block of streams s; ``test(*rows)``: their terms."""
+def _block_terms(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | None):
+    """``terms(s)``: the n terms of each stream of the block s, laid end to end."""
     model, ev, n, d = cfg.model, cfg.event, cfg.n, cfg.model.d
     u0 = event_uniform_thresholds(model, ev)
     if plan is not None:
-        def draw(s):
+        def terms(s):
             ts = sample_tilted(plan.family, s, theta, n)
-            return ts.x, ts.stat, ts.log_lr
-
-        def test(x, stat, log_lr):
-            return plan.indicator(TiltedSample(x, stat, log_lr)) * np.exp(log_lr)
+            return plan.indicator(ts) * np.exp(ts.log_lr)
     elif _is_vine(model):
-        # sample_vine_uniforms' words, mapped where they can hit
-        draw = lambda s: (s.uniforms(n * d).reshape(-1, d),)
-        test = lambda v: _chain_hits(model, v, u0, ev.direction) * 1.0
+        def terms(s):  # sample_vine_uniforms' words, mapped where they can hit
+            return _chain_hits(model, s.uniforms(n * d).reshape(-1, d), u0, ev.direction) * 1.0
     else:
-        draw = lambda s: (sample_copula_uniforms(model, s, n, "direct"),)
-        test = lambda u: (_corner_score(u, u0, ev.direction) > 0.0) * 1.0
-    return draw, test
+        def terms(s):
+            u = sample_copula_uniforms(model, s, n, "direct")
+            return (_corner_score(u, u0, ev.direction) > 0.0) * 1.0
+    return terms
 
 
 def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     """Run M independent replications and aggregate them.
 
-    Replication r draws from ``make_stream(cfg.seed, r)``. Blocks of about
-    ``_BLOCK_ROWS`` rows of consecutive replications share one draw, from
-    the block of their streams, and one event test, and each replication's
-    estimate is the mean of its own n terms, so the result is bit-identical
-    for any block size and ``threads``; more than one thread spreads the
-    blocks over a pool. Solving for the tilt, when ``cfg.theta`` is None,
+    Replication r draws from ``make_stream(cfg.seed, r)``. A block of about
+    ``_BLOCK_ROWS`` rows of consecutive replications is one ``terms`` call,
+    which draws from the block of their streams and tests the event once on
+    all their rows. Each replication's estimate is the mean of its own n
+    terms, so the result is bit-identical for any block size and
+    ``threads``; more than one thread spreads the blocks over a pool. Solving for the tilt, when ``cfg.theta`` is None,
     happens before the clock starts and is timed on its own as
     ``solve_seconds``; a solve that did not converge raises
     :class:`SolverError` carrying the solver's report, and nothing is sampled.
@@ -364,7 +374,7 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
         raise ParameterError(f"thread count must be at least 1, got {threads}")
     plan = _plan_for(cfg) if cfg.method != "naive" else None
     theta, solve_seconds = _resolve_theta(cfg, plan) if plan is not None else (None, 0.0)
-    draw, test = _block_fns(cfg, plan, theta)
+    block_terms = _block_terms(cfg, plan, theta)
 
     M, n = cfg.M, cfg.n
     B = max(1, _BLOCK_ROWS // n)
@@ -372,7 +382,7 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
 
     def run(r0: int) -> np.ndarray:
         rs = range(r0, min(r0 + B, M))
-        terms = test(*draw(make_stream(cfg.seed, rs)))
+        terms = block_terms(make_stream(cfg.seed, rs))
         est[rs.start:rs.stop] = terms.reshape(len(rs), n).mean(axis=1)
         return terms
 

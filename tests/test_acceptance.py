@@ -62,7 +62,7 @@ def emit(capsys):
 
 def _model(case_key):
     if case_key not in _MODELS:
-        _MODELS[case_key] = get_case(case_key).model()
+        _MODELS[case_key] = get_case(case_key).model
     return _MODELS[case_key]
 
 

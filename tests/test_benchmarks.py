@@ -24,9 +24,9 @@ def test_registry_columns_align():
         for method, cols in case.reference.items():
             for field, col in cols.items():
                 assert len(col) == n_p, (key, method, field)
-        model = case.model()
+        model = case.model
         assert model.d == len(np.atleast_1d(case.reference[case.methods[0]]["theta"][0])) or \
-            case.kind == "clayton2"
+            model.family == "clayton"
 
 
 def test_reference_tilt_layouts():
@@ -42,7 +42,7 @@ def test_reference_tilt_layouts():
 def test_margins_match_titles():
     for key in benchmark_keys()[:12]:
         case = get_case(key)
-        model = case.model()
+        model = case.model
         assert isinstance(model, CopulaSpec)
         label = model.margins[0].label()
         if "exponential" in case.title:

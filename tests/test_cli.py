@@ -211,6 +211,18 @@ def test_unconverged_tilt_exits_3_before_any_row(capsys, monkeypatch, tmp_path):
     assert not rows.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("--method", "is-t3", "--theta", "[]"),
+    ("--method", "naive", "--theta", "[1, 1]"),
+    ("--method", "is-t2", "--n", "1", "--reps", "1000000"),
+])
+def test_estimate_refuses_a_tilt_or_budget_it_cannot_use(capsys, argv):
+    code, out = run(capsys, "estimate", "--copula", "gaussian", "--rho", "0",
+                    "--p", "1.282", *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_estimate_on_case_2_deepest_corner(capsys):
     # the closed-form solve converges here, so the run estimates and exits 0
     code, payload = run_json(capsys, "estimate", "--copula", "gaussian", "--rho", "0.5",

@@ -75,6 +75,13 @@ def test_config_validation():
     for bad in ("abc", {"a": 1.0}, [[1.0], [1.0, 2.0]]):
         with pytest.raises(ConfigError):
             ExperimentConfig(gauss_model(), upper(1.0), "is-t2", theta=bad)
+    for theta in ((1.0, 1.0), 0.0):
+        with pytest.raises(ConfigError, match="no tilt"):
+            ExperimentConfig(gauss_model(), upper(1.0), "naive", theta=theta)
+    for model, event in (("gauss", upper(1.0)), (None, upper(1.0)),
+                         (gauss_model(), (1.0, 1.0)), (gauss_model(), None)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(model, event, "naive")
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError):
             CornerEvent("upper", (bad, bad))
@@ -219,6 +226,24 @@ def test_hazard_twist_domain():
         replicate(ExperimentConfig(gauss_model(), upper(1.857), "is-t3",
                                    n=100, M=10, seed=1, theta=(-0.2,)))
     assert base.theta is None
+
+
+def test_hazard_twist_of_the_wrong_shape_is_a_shape_error():
+    for bad in ([], [0.3, 0.3]):
+        with pytest.raises(ShapeError):
+            replicate(ExperimentConfig(gauss_model(), upper(1.857), "is-t3",
+                                       n=100, M=10, seed=1, theta=bad))
+
+
+def test_solved_run_cannot_reach_the_solver_stream():
+    limit = estimators.SOLVER_STREAM
+    with pytest.raises(ConfigError, match=f"{limit}.*M={limit + 1}"):
+        ExperimentConfig(gauss_model(), upper(1.0), "is-t2", M=limit + 1)
+    # a solved run may use every stream below the solver's; a given tilt and
+    # the crude estimator never read it
+    ExperimentConfig(gauss_model(), upper(1.0), "is-t2", M=limit)
+    ExperimentConfig(gauss_model(), upper(1.0), "is-t2", M=limit + 1, theta=(1.0, 1.0))
+    ExperimentConfig(gauss_model(), upper(1.0), "naive", M=limit + 1)
 
 
 # ---------------------------------------------------------------------------
