@@ -11,7 +11,8 @@ construction), while ``cim`` pushes i.i.d. uniforms through the inverse
 Rosenblatt map. Both routes consume stream words in a documented order so
 that tilted samplers can reproduce them bit for bit at a zero tilt (is-t1
 and is-t3 reproduce ``cim``, is-t2 ``direct``). The routes are samplers at
-this layer only: a crude estimate of these models takes ``direct``.
+this layer only: a crude estimate of these models is is-t1 at the zero
+tilt, so it takes ``cim``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from ..randkit import (
     _check_size,
     _check_t_nu,
     _cholesky,
+    _rows_times,
     margin_cdf,
     margin_quantile,
     sample_gamma,
@@ -172,7 +174,7 @@ def rosenblatt_inverse(c: CopulaSpec, v) -> np.ndarray:
         return _clayton_inverse(c.delta, v)
     L = _cholesky(c.sigma)
     if c.family == "gaussian":
-        return ndtr(ndtri(v) @ L.T)
+        return ndtr(_rows_times(ndtri(v), L.T))
     y = np.empty_like(v)
     ss = np.zeros(v.shape[0])
     for k in range(c.d):  # at k = 0 the scale is nu / nu, exactly 1
@@ -181,7 +183,7 @@ def rosenblatt_inverse(c: CopulaSpec, v) -> np.ndarray:
         ss += y[:, k] ** 2
     u = np.empty_like(v)
     u[:, 0] = v[:, 0]
-    u[:, 1:] = stdtr(c.nu, y @ L[1:].T)
+    u[:, 1:] = stdtr(c.nu, _rows_times(y, L[1:].T))
     return u
 
 

@@ -1,14 +1,14 @@
 """Corner-probability estimators and the replication engine.
 
-A corner event is estimated by one of five methods. ``naive`` averages the
-plain indicator over crude draws. ``is-t1`` tilts the uniform block feeding
-the conditional-inverse sampler with a product of truncated exponentials,
-which works for every model including vines. ``is-t2`` tilts the model's
-own latent representation (mean shift for the Gaussian copula, the
-gamma-normal pair for the t copula, the frailty construction for Clayton).
-``is-t3`` twists the hazard of each uniform with one shared scalar.
-``is-ld`` samples the t family at its large-deviation point. Every method
-runs through :func:`replicate`.
+A corner event is estimated by one of five methods. ``naive``, the crude
+estimator, is ``is-t1`` at the zero tilt on every model. ``is-t1`` tilts
+the uniform block feeding the conditional-inverse sampler with a product of
+truncated exponentials, which works for every model including vines.
+``is-t2`` tilts the model's own latent representation (mean shift for the
+Gaussian copula, the gamma-normal pair for the t copula, the frailty
+construction for Clayton). ``is-t3`` twists the hazard of each uniform
+with one shared scalar. ``is-ld`` samples the t family at its
+large-deviation point. Every method runs through :func:`replicate`.
 
 Each importance-sampling method also has a continuous score per row whose
 event is {score > 0}: the smallest distance inside the corner over the
@@ -19,8 +19,8 @@ min(x − u0) for Clayton. The pilot solvers' cross-entropy pre-tilt climbs
 towards the event on it. IEEE subtraction keeps the sign, so the
 latent-family indicators are the score test itself, bit for bit.
 
-The is-t1 and is-t3 indicators and the crude vine estimate map only the
-rows that can still reach the corner. On a vine, column k + 1 is mapped
+The is-t1 and is-t3 indicators, the crude estimate's among them, map only
+the rows that can still reach the corner. On a vine, column k + 1 is mapped
 only on the rows whose columns 1..k lie inside it. A parametric model maps
 the rows whose first coordinate can still reach it: every parametric inverse
 map passes the first uniform through as that coordinate (the Gaussian's to
@@ -31,10 +31,10 @@ consecutive replications is one function call: it draws from the block of
 their streams and tests the event once on all their rows, and each
 replication's estimate is the mean of its own rows, so results are
 bit-identical for any block size and thread count.
-With the tilt vector at zero the importance samplers reproduce the crude
-draws bit for bit: is-t1 and is-t3 those of the conditional-inverse chain,
-is-t2 those of the latent construction. The crude estimate samples a vine
-on its chain, a parametric copula latently.
+With the tilt vector at zero the importance samplers draw their family's
+base measure bit for bit: is-t1 and is-t3 the conditional-inverse chain,
+which is the crude estimate, and is-t2 the latent construction of
+``sample_copula_uniforms(..., "direct")``.
 
 Lower corners reuse the upper-corner machinery. The trunc-exp family simply
 tilts toward zero (its tilt space is two-sided), the hazard twist feeds
@@ -59,7 +59,7 @@ from .copulas import (
     event_uniform_thresholds,
     latent_thresholds,
     rosenblatt_inverse,
-    sample_copula_uniforms,
+    sample_copula_uniforms,  # unused; perfbench's traced run wraps it as a span boundary
     sample_vine_uniforms,  # unused; perfbench's traced run wraps it as a span boundary
     vine_rosenblatt_inverse,
 )
@@ -98,10 +98,11 @@ class ExperimentConfig:
 
     ``theta`` is the tilt to use; leave it None to have :func:`replicate`
     solve for it, and refuse a solve that did not converge. The crude
-    estimator takes no tilt; it samples a vine on its conditional-inverse
-    chain and a parametric copula through its latent construction. A solved
-    run takes at most ``SOLVER_STREAM`` replications, so that none of them
-    draws from the solver's stream.
+    estimator takes no tilt: it is is-t1 at the zero tilt, on the
+    conditional-inverse chain of every model. A solved run takes at most
+    ``SOLVER_STREAM`` replications, so that none of them draws from the
+    solver's stream. ``seed`` lies in [0, 2^64), the key space of the
+    streams, so that no two seeds draw the same words.
     """
 
     model: CopulaSpec | RVineSpec
@@ -127,6 +128,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.n < 1 or self.M < 1:
             raise ConfigError(f"need n >= 1 and M >= 1, got n={self.n}, M={self.M}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.theta is None and self.method != "naive" and self.M > SOLVER_STREAM:
             raise ConfigError(f"a solved run takes at most {SOLVER_STREAM} replications, "
                               f"got M={self.M}: replication {SOLVER_STREAM} would draw from "
@@ -234,14 +237,14 @@ def _score_plan(f: TiltFamily, score, reflected: bool) -> _Plan:
 
 
 def _plan_for(cfg: ExperimentConfig) -> _Plan:
-    """Tilting family, event indicator and score for an importance-sampling
-    method."""
+    """Tilting family, event indicator and score for a method; the crude
+    estimator takes is-t1's."""
     model, ev = cfg.model, cfg.event
     u0 = event_uniform_thresholds(model, ev)
     d = model.d
     lower = ev.direction == "lower"
 
-    if cfg.method in ("is-t1", "is-t3"):
+    if cfg.method in ("naive", "is-t1", "is-t3"):
         # the hazard twist is solved over [0, 1), which pushes mass toward 1,
         # so it meets a lower corner through reflected uniforms
         t3 = cfg.method == "is-t3"
@@ -319,6 +322,8 @@ def solve_event_theta(cfg: ExperimentConfig, *, solver: str | None = None) -> Ti
 def _resolve_theta(cfg: ExperimentConfig, plan: _Plan) -> tuple[np.ndarray, float]:
     """The tilt to sample at and the seconds spent solving for it; a solve
     that did not converge raises :class:`SolverError`."""
+    if cfg.method == "naive":
+        return np.zeros(cfg.model.d), 0.0
     if cfg.theta is None:
         t0 = time.perf_counter()
         sol = solve_event_theta(cfg)
@@ -339,42 +344,25 @@ def _resolve_theta(cfg: ExperimentConfig, plan: _Plan) -> tuple[np.ndarray, floa
 _BLOCK_ROWS = 3072  # rows per block of replications, chosen by measurement
 
 
-def _block_terms(cfg: ExperimentConfig, plan: _Plan | None, theta: np.ndarray | None):
-    """``terms(s)``: the n terms of each stream of the block s, laid end to end."""
-    model, ev, n, d = cfg.model, cfg.event, cfg.n, cfg.model.d
-    u0 = event_uniform_thresholds(model, ev)
-    if plan is not None:
-        def terms(s):
-            ts = sample_tilted(plan.family, s, theta, n)
-            return plan.indicator(ts) * np.exp(ts.log_lr)
-    elif _is_vine(model):
-        def terms(s):  # sample_vine_uniforms' words, mapped where they can hit
-            return _chain_hits(model, s.uniforms(n * d).reshape(-1, d), u0, ev.direction) * 1.0
-    else:
-        def terms(s):
-            u = sample_copula_uniforms(model, s, n, "direct")
-            return (_corner_score(u, u0, ev.direction) > 0.0) * 1.0
-    return terms
-
-
 def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     """Run M independent replications and aggregate them.
 
-    Replication r draws from ``make_stream(cfg.seed, r)``. A block of about
-    ``_BLOCK_ROWS`` rows of consecutive replications is one ``terms`` call,
-    which draws from the block of their streams and tests the event once on
-    all their rows. Each replication's estimate is the mean of its own n
+    Replication r draws from ``make_stream(cfg.seed, r)``. For every
+    method, the crude one at is-t1's zero tilt, a block of about
+    ``_BLOCK_ROWS`` rows of consecutive replications is one
+    ``sample_tilted`` call on the block of their streams and one event test
+    on all their rows. Each replication's estimate is the mean of its own n
     terms, so the result is bit-identical for any block size and
-    ``threads``; more than one thread spreads the blocks over a pool. Solving for the tilt, when ``cfg.theta`` is None,
-    happens before the clock starts and is timed on its own as
-    ``solve_seconds``; a solve that did not converge raises
-    :class:`SolverError` carrying the solver's report, and nothing is sampled.
+    ``threads``; more than one thread spreads the blocks over a pool.
+    Solving for the tilt, when ``cfg.theta`` is None, happens before the
+    clock starts and is timed on its own as ``solve_seconds``; a solve that
+    did not converge raises :class:`SolverError` carrying the solver's
+    report, and nothing is sampled.
     """
-    if threads < 1:
-        raise ParameterError(f"thread count must be at least 1, got {threads}")
-    plan = _plan_for(cfg) if cfg.method != "naive" else None
-    theta, solve_seconds = _resolve_theta(cfg, plan) if plan is not None else (None, 0.0)
-    block_terms = _block_terms(cfg, plan, theta)
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ParameterError(f"thread count must be an integer of at least 1, got {threads!r}")
+    plan = _plan_for(cfg)
+    theta, solve_seconds = _resolve_theta(cfg, plan)
 
     M, n = cfg.M, cfg.n
     B = max(1, _BLOCK_ROWS // n)
@@ -382,7 +370,8 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
 
     def run(r0: int) -> np.ndarray:
         rs = range(r0, min(r0 + B, M))
-        terms = block_terms(make_stream(cfg.seed, rs))
+        ts = sample_tilted(plan.family, make_stream(cfg.seed, rs), theta, n)
+        terms = plan.indicator(ts) * np.exp(ts.log_lr)
         est[rs.start:rs.stop] = terms.reshape(len(rs), n).mean(axis=1)
         return terms
 
@@ -407,7 +396,7 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     return EstimateResult(u_hat=u_hat, sd=sd, n=cfg.n, reps=M, seconds=seconds,
                           wnrv=wn, method=cfg.method, sd_within_run=sd_within,
                           solve_seconds=solve_seconds,
-                          theta=None if theta is None else tuple(map(float, theta)))
+                          theta=None if cfg.method == "naive" else tuple(map(float, theta)))
 
 
 def sd_eff(a: EstimateResult, b: EstimateResult) -> float:

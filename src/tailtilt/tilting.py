@@ -344,6 +344,8 @@ def hess_psi(f: TiltFamily, theta) -> np.ndarray:
 def _trunc_exp_block(s: RngStream, th: np.ndarray, n: int) -> np.ndarray:
     """``n`` rows per stream of independent uniforms, column j tilted by ``th[j]``."""
     u = s.uniforms(n * len(th)).reshape(-1, len(th))
+    if not th.any():
+        return u  # what the inverse CDF returns at t = 0, bit for bit
     v = np.empty_like(u)
     for j, t in enumerate(th):
         v[:, j] = _trunc_exp_inverse_cdf(u[:, j], t)

@@ -223,6 +223,14 @@ def test_estimate_refuses_a_tilt_or_budget_it_cannot_use(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_estimate_refuses_a_seed_outside_the_stream_keys(capsys, seed):
+    code, out = run(capsys, "estimate", "--copula", "gaussian", "--rho", "0",
+                    "--p", "1.282", "--reps", "2", "--seed", seed)
+    assert code == 2
+    assert out == ""
+
+
 def test_estimate_on_case_2_deepest_corner(capsys):
     # the closed-form solve converges here, so the run estimates and exits 0
     code, payload = run_json(capsys, "estimate", "--copula", "gaussian", "--rho", "0.5",

@@ -69,7 +69,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(gauss_model(), upper(1.0), "naive", M=0)
     for bad in ({"n": 100.5}, {"M": 20.0}, {"n": True}, {"M": True},
-                {"seed": 1.5}, {"seed": "a"}, {"seed": True}):
+                {"seed": 1.5}, {"seed": "a"}, {"seed": True}, {"seed": -1},
+                {"seed": 2**64}, {"seed": np.int64(-1)}):
         with pytest.raises(ConfigError):
             ExperimentConfig(gauss_model(), upper(1.0), "naive", **bad)
     for bad in ("abc", {"a": 1.0}, [[1.0], [1.0, 2.0]]):
@@ -146,45 +147,56 @@ def test_is_theta_outside_domain():
         replicate(cfg)
 
 
-def crude_chain(model, event: CornerEvent, n: int, M: int, seed: int) -> tuple[float, float]:
-    """(u_hat, sd) of the crude estimate on the conditional-inverse chain,
-    every row of replication r mapped from ``make_stream(seed, r)``."""
+def _crude(draw, model, event: CornerEvent, M: int, seed: int) -> tuple[float, float]:
+    """(u_hat, sd) of the crude estimate whose replication r tests every row
+    of ``draw(make_stream(seed, r))``."""
     u0 = event_uniform_thresholds(model, event)
     est = np.empty(M)
     for r in range(M):
-        s = make_stream(seed, r)
-        if isinstance(model, RVineSpec):
-            u = sample_vine_uniforms(s, model, n)
-        else:
-            u = sample_copula_uniforms(model, s, n, "cim")
+        u = draw(make_stream(seed, r))
         est[r] = np.mean(np.all(u < u0, axis=1) if event.direction == "lower"
                          else np.all(u > u0, axis=1))
     return float(est.mean()), float(est.std(ddof=1))
 
 
+def crude_chain(model, event: CornerEvent, n: int, M: int, seed: int) -> tuple[float, float]:
+    """(u_hat, sd) of the crude estimate on the conditional-inverse chain,
+    every row of replication r mapped from ``make_stream(seed, r)``."""
+    if isinstance(model, RVineSpec):
+        return _crude(lambda s: sample_vine_uniforms(s, model, n), model, event, M, seed)
+    return _crude(lambda s: sample_copula_uniforms(model, s, n, "cim"), model, event, M, seed)
+
+
+def crude_latent(model, event: CornerEvent, n: int, M: int, seed: int) -> tuple[float, float]:
+    """(u_hat, sd) of the crude estimate through the latent construction."""
+    return _crude(lambda s: sample_copula_uniforms(model, s, n, "direct"),
+                  model, event, M, seed)
+
+
 def test_zero_tilt_matches_crude_bitwise():
     model = gauss_model()
     ev = upper(1.282)
-    direct = replicate(ExperimentConfig(model, ev, "naive", n=500, M=100, seed=7))
+    direct = crude_latent(model, ev, n=500, M=100, seed=7)
     cim = crude_chain(model, ev, n=500, M=100, seed=7)
     t2 = replicate(ExperimentConfig(model, ev, "is-t2", n=500, M=100, seed=7, theta=(0.0, 0.0)))
     t1 = replicate(ExperimentConfig(model, ev, "is-t1", n=500, M=100, seed=7, theta=(0.0, 0.0)))
     t3 = replicate(ExperimentConfig(model, ev, "is-t3", n=500, M=100, seed=7, theta=(0.0,)))
-    assert (t2.u_hat, t2.sd) == (direct.u_hat, direct.sd)
+    assert (t2.u_hat, t2.sd) == direct
     assert (t1.u_hat, t1.sd) == cim
     assert (t3.u_hat, t3.sd) == cim
 
 
 def test_zero_tilt_matches_crude_t_and_clayton():
+    # is-t2 at the zero tilt draws the latent construction, stream by stream
     tev = upper(2.0)
-    td = replicate(ExperimentConfig(T_MODEL, tev, "naive", n=400, M=50, seed=8))
     tz = replicate(ExperimentConfig(T_MODEL, tev, "is-t2", n=400, M=50, seed=8, theta=(0.0, 0.0)))
-    assert (tz.u_hat, tz.sd) == (td.u_hat, td.sd)
+    assert tz.u_hat > 0.0
+    assert (tz.u_hat, tz.sd) == crude_latent(T_MODEL, tev, n=400, M=50, seed=8)
     cev = upper(1.115)
-    cd = replicate(ExperimentConfig(CLAYTON_MODEL, cev, "naive", n=400, M=50, seed=8))
     cz = replicate(ExperimentConfig(CLAYTON_MODEL, cev, "is-t2", n=400, M=50, seed=8,
                                     theta=(0.0, 0.0, 0.0)))
-    assert (cz.u_hat, cz.sd) == (cd.u_hat, cd.sd)
+    assert cz.u_hat > 0.0
+    assert (cz.u_hat, cz.sd) == crude_latent(CLAYTON_MODEL, cev, n=400, M=50, seed=8)
 
 
 def test_replicate_refuses_a_tilt_whose_cumulant_overflows():
@@ -353,6 +365,14 @@ def test_replicate_thread_determinism():
     assert a.solve_seconds == 0.0
 
 
+def test_replicate_refuses_a_thread_count_that_is_not_a_positive_integer():
+    cfg = ExperimentConfig(gauss_model(), upper(1.282), "naive", n=10, M=2)
+    for bad in (0, -1, 1.5, 2.0, "2", True, None):
+        with pytest.raises(ParameterError, match="thread count"):
+            replicate(cfg, threads=bad)
+    assert replicate(cfg, threads=np.int64(2)).reps == 2
+
+
 def test_replicate_single_run_flagged():
     cfg = ExperimentConfig(gauss_model(), upper(1.282), "naive", n=2000, M=1, seed=10)
     r = replicate(cfg)
@@ -482,14 +502,18 @@ def test_blocks_of_any_size_give_the_same_bits(monkeypatch, name, lower):
 
 
 @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
-@pytest.mark.parametrize("name", ["vine-3d", "vine-4d", "gaussian-cim"])
+@pytest.mark.parametrize("name", ["vine-3d", "vine-4d", "gaussian-cim", "student-t",
+                                  "clayton"])
 def test_crude_chain_routes_match_the_full_map(name, lower):
-    """The crude vine replications, and is-t1 at zero tilt on the Gaussian's
-    cim chain, test each stream's words without mapping most rows; a
-    reference that maps every row gives the same bits."""
+    """The crude replications, and is-t1 at zero tilt on the Gaussian's cim
+    chain, test each stream's words without mapping most rows; a reference
+    that maps every row gives the same bits."""
     if name == "gaussian-cim":
         model, method, theta = gauss_model(0.5), "is-t1", (0.0, 0.0)
         ev = CornerEvent("lower", (-1.96, -1.96)) if lower else upper(1.96)
+    elif name in ("student-t", "clayton"):
+        model, up, low, _ = BLOCK_CASES[name]
+        method, theta, ev = "naive", None, low if lower else up
     else:
         model, method, theta = VINE_3D if name == "vine-3d" else VINE_4D, "naive", None
         ev = CornerEvent("lower" if lower else "upper", (0.025 if lower else 0.975,) * model.d)
@@ -500,22 +524,21 @@ def test_crude_chain_routes_match_the_full_map(name, lower):
     assert (got.u_hat, got.sd) == want
 
 
-@pytest.mark.parametrize("model", [VINE_3D, VINE_4D], ids=["3d", "4d"])
-def test_zero_tilt_matches_crude_on_vines(model):
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+def test_crude_is_t1_at_the_zero_tilt(name, lower):
+    model, up, low, _ = BLOCK_CASES[name]
+    ev = low if lower else up
     d = model.d
-    ev = upper(0.95, d)
-    crude = replicate(ExperimentConfig(model, ev, "naive", n=500, M=30, seed=44))
-    t1 = replicate(ExperimentConfig(model, ev, "is-t1", n=500, M=30, seed=44, theta=(0.0,) * d))
-    t3 = replicate(ExperimentConfig(model, ev, "is-t3", n=500, M=30, seed=44, theta=(0.0,)))
+    cfg = ExperimentConfig(model, ev, "naive", n=300, M=12, seed=45)
+    crude = replicate(cfg)
+    t1 = replicate(replace(cfg, method="is-t1", theta=(0.0,) * d))
     assert crude.u_hat > 0.0
-    assert _bits(t1) == _bits(crude)
-    assert _bits(t3) == _bits(crude)
-    low = CornerEvent("lower", (0.05,) * d)
-    crude_low = replicate(ExperimentConfig(model, low, "naive", n=500, M=30, seed=44))
-    t1_low = replicate(ExperimentConfig(model, low, "is-t1", n=500, M=30, seed=44,
-                                        theta=(0.0,) * d))
-    assert crude_low.u_hat > 0.0
-    assert _bits(t1_low) == _bits(crude_low)
+    assert (t1.u_hat, t1.sd) == (crude.u_hat, crude.sd)
+    assert crude.theta is None and t1.theta == (0.0,) * d
+    if not lower:  # the hazard twist meets a lower corner through reflected uniforms
+        t3 = replicate(replace(cfg, method="is-t3", theta=(0.0,)))
+        assert (t3.u_hat, t3.sd) == (crude.u_hat, crude.sd)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,17 @@ def test_rosenblatt_shape_errors():
         rosenblatt_forward(c, np.zeros((4, 1)))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("family", ["gaussian", "student-t"])
+def test_rosenblatt_inverse_maps_a_row_alone_as_in_a_block(family, d):
+    # the corner indicators map only the rows that can still reach the
+    # corner, so a row's image must not depend on how many rows share its call
+    c = gaussian_spec(0.5, d) if family == "gaussian" else t_spec(5.0, 0.5, d)
+    v = make_stream(11, 2).uniforms(500 * d).reshape(500, d)
+    alone = np.concatenate([rosenblatt_inverse(c, row[None, :]) for row in v])
+    np.testing.assert_array_equal(alone, rosenblatt_inverse(c, v))
+
+
 @pytest.mark.parametrize(
     "c,pc",
     [
