@@ -7,7 +7,6 @@ from .models import (
     latent_thresholds,
     rosenblatt_forward,
     rosenblatt_inverse,
-    sample_copula_crude,
     sample_copula_uniforms,
 )
 from .pairs import PairCopula, h_func, h_inv
@@ -36,7 +35,6 @@ __all__ = [
     "parse_vine",
     "rosenblatt_forward",
     "rosenblatt_inverse",
-    "sample_copula_crude",
     "sample_copula_uniforms",
     "sample_vine_uniforms",
     "vine_preset",

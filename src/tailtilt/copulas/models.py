@@ -4,7 +4,10 @@ Three joint families are supported: Gaussian and Student t (parameterized by
 a correlation matrix, plus degrees of freedom for t) and Clayton
 (parameterized by delta, any dimension). Each one gets a forward Rosenblatt
 transform mapping copula-scale vectors onto i.i.d. uniforms by sequential
-conditioning, an inverse transform, and a crude sampler on the margin scale.
+conditioning, an inverse transform, and a crude sampler of copula-scale
+vectors. Every inverse map runs column by column on the chain of
+:func:`_by_column`, which the vine maps share: column 1 is v1 itself for
+every family, and a row test can stop mapping a row after any column.
 The crude sampler exposes two routes: ``direct`` draws through the latent
 representation (multivariate normal, scale mixture, or the gamma-frailty
 construction), while ``cim`` pushes i.i.d. uniforms through the inverse
@@ -34,9 +37,7 @@ from ..randkit import (
     _check_size,
     _check_t_nu,
     _cholesky,
-    _rows_times,
     margin_cdf,
-    margin_quantile,
     sample_gamma,
     sample_mvn,
 )
@@ -48,7 +49,6 @@ __all__ = [
     "rosenblatt_forward",
     "rosenblatt_inverse",
     "sample_copula_uniforms",
-    "sample_copula_crude",
 ]
 
 
@@ -163,28 +163,74 @@ def rosenblatt_forward(c: CopulaSpec, u) -> np.ndarray:
     return v
 
 
-def rosenblatt_inverse(c: CopulaSpec, v) -> np.ndarray:
+def _by_column(v: np.ndarray, step, keep=None) -> np.ndarray:
+    """Map the rows of the uniforms v column by column, the chain every
+    inverse Rosenblatt map runs on.
+
+    ``step(k, vk, memo)`` returns column k (counting from 0) of the rows
+    still mapped, given their uniforms vk; it may keep arrays over those
+    rows in ``memo`` for later columns. ``keep(k, x_k)``, if given, tests
+    column k's values x_k (counting from 1) and is True on the rows to map
+    on column k + 1; the memo is subset with them. The later columns of the
+    other rows are not mapped and read NaN. Every step acts elementwise, so
+    the mapped entries are bit-identical to the full map's.
+    """
+    x = np.full_like(v, np.nan)
+    rows, memo = None, {}  # the mapped rows' indices in x, None for all of them
+    for k in range(v.shape[1]):
+        t = step(k, v[:, k] if rows is None else v[rows, k], memo)
+        if rows is None:
+            x[:, k] = t
+        else:
+            x[rows, k] = t
+        if keep is not None and k + 1 < v.shape[1]:
+            kept = np.flatnonzero(keep(k + 1, t))
+            if kept.size < t.size:
+                rows = kept if rows is None else rows[kept]
+                for key, z in memo.items():
+                    memo[key] = z[kept]
+    return x
+
+
+def rosenblatt_inverse(c: CopulaSpec, v, keep=None) -> np.ndarray:
     """Map i.i.d. uniforms to copula-scale vectors; inverse of the forward map.
 
-    Column 1 is v1 itself for the t and Clayton maps; the Gaussian map
-    round-trips it through ``ndtr(ndtri(v1))``, within 2.2e-16 of v1.
+    Column 1 is v1 itself for every family. ``keep(k, x_k)``, if given,
+    drops rows after column k as in :func:`_by_column`: the later columns
+    of the rows it is False on read NaN, and the others keep every bit.
     """
     v = _check_matrix(c, v, "v")
-    if c.family == "clayton":
-        return _clayton_inverse(c.delta, v)
+    step = _clayton_step(c.delta) if c.family == "clayton" else _elliptical_step(c)
+    return _by_column(v, step, keep)
+
+
+def _elliptical_step(c: CopulaSpec):
+    """Column k of the Gaussian or t map: F(sum_j L_kj y_j), the sum taken
+    elementwise over the residuals y_j, j <= k, kept in the memo by j."""
     L = _cholesky(c.sigma)
-    if c.family == "gaussian":
-        return ndtr(_rows_times(ndtri(v), L.T))
-    y = np.empty_like(v)
-    ss = np.zeros(v.shape[0])
-    for k in range(c.d):  # at k = 0 the scale is nu / nu, exactly 1
+
+    def residual(k, vk, memo):
+        if c.family == "gaussian":
+            return ndtri(vk)
+        ss = memo.get("ss", 0.0)  # at k = 0 the scale is nu / nu, exactly 1
         df = c.nu + k
-        y[:, k] = stdtrit(df, v[:, k]) * np.sqrt((c.nu + ss) / df)
-        ss += y[:, k] ** 2
-    u = np.empty_like(v)
-    u[:, 0] = v[:, 0]
-    u[:, 1:] = stdtr(c.nu, _rows_times(y, L[1:].T))
-    return u
+        y = stdtrit(df, vk) * np.sqrt((c.nu + ss) / df)
+        memo["ss"] = ss + y**2
+        return y
+
+    def step(k, vk, memo):
+        if k == 0:
+            memo[0] = vk  # the residual waits for the rows kept after column 1
+            return vk
+        if k == 1:
+            memo[0] = residual(0, memo[0], memo)
+        memo[k] = residual(k, vk, memo)
+        z = L[k, 0] * memo[0]
+        for j in range(1, k + 1):
+            z += L[k, j] * memo[j]
+        return ndtr(z) if c.family == "gaussian" else stdtr(c.nu, z)
+
+    return step
 
 
 def _clayton_clip(delta: float, u: np.ndarray) -> np.ndarray:
@@ -206,17 +252,22 @@ def _clayton_forward(delta: float, u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _clayton_inverse(delta: float, v: np.ndarray) -> np.ndarray:
-    v = np.clip(v, 1e-300, 1.0 - 1e-16)
-    n, d = v.shape
-    u = np.empty_like(v)
-    u[:, 0] = v[:, 0]
-    s = _clayton_clip(delta, v[:, 0]) ** -delta
-    for k in range(1, d):
-        grow = np.expm1(-np.log(v[:, k]) / (1.0 / delta + k))
-        u[:, k] = (s * grow + 1.0) ** (-1.0 / delta)
-        s += _clayton_clip(delta, u[:, k]) ** -delta - 1.0
-    return u
+def _clayton_step(delta: float):
+    """Column k of the Clayton map; the memo keeps s = sum_j (u_j^-delta - 1) + 1
+    over the columns before it."""
+
+    def step(k, vk, memo):
+        if k == 0:
+            memo["s"] = vk  # s waits for the rows kept after column 1
+            return vk
+        if k == 1:
+            memo["s"] = _clayton_clip(delta, memo["s"]) ** -delta
+        grow = np.expm1(-np.log(np.clip(vk, 1e-300, 1.0 - 1e-16)) / (1.0 / delta + k))
+        u = (memo["s"] * grow + 1.0) ** (-1.0 / delta)
+        memo["s"] += _clayton_clip(delta, u) ** -delta - 1.0
+        return u
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +301,3 @@ def sample_copula_uniforms(
     w = sample_gamma(s, 1.0 / c.delta, 1.0, n)
     v = s.uniforms(n * c.d).reshape(-1, c.d)
     return (1.0 - np.log(v) / w[:, None]) ** (-1.0 / c.delta)
-
-
-def sample_copula_crude(c, s: RngStream, n: int) -> np.ndarray:
-    """Draw n margin-scale vectors X from a vine on its chain, or from a
-    parametric copula through its latent construction."""
-    from .vines import RVineSpec, sample_vine_uniforms
-
-    if isinstance(c, RVineSpec):
-        u = sample_vine_uniforms(s, c, n)
-    else:
-        u = sample_copula_uniforms(c, s, n)
-    x = np.empty_like(u)
-    for i, m in enumerate(c.margins):
-        x[:, i] = margin_quantile(m, np.clip(u[:, i], 1e-15, 1.0 - 1e-15))
-    return x

@@ -40,6 +40,7 @@ import numpy as np
 
 from ..errors import ParameterError, StructureError
 from ..randkit import MarginSpec, RngStream, _check_open_unit, _check_size
+from .models import _by_column
 from .pairs import PairCopula, h_func, h_inv
 
 __all__ = [
@@ -227,13 +228,11 @@ def _as_matrix(rv: RVineSpec, arr, name: str) -> np.ndarray:
     return _check_open_unit(arr, name)
 
 
-def _conditionals(rv: RVineSpec, x: np.ndarray, memo: dict):
-    """F(a | D) on the rows of copula-scale x, memoised in ``memo`` by (a, D);
-    it reads only the columns of a and D."""
+def _conditionals(rv: RVineSpec, memo: dict):
+    """F(a | D), memoised in ``memo`` by (a, D); x_a is the entry (a, {}),
+    and F(a | D) reads only the entries of a and D."""
 
     def F(a: int, D: frozenset) -> np.ndarray:
-        if not D:
-            return x[:, a - 1]
         if (a, D) not in memo:
             e = rv._by_set[D | {a}]
             b = sum(e.conditioned) - a
@@ -248,7 +247,7 @@ def vine_rosenblatt_forward(rv: RVineSpec, x) -> np.ndarray:
     """Map copula-scale X to i.i.d. uniforms V, v_k = F(x_k | x_1..x_(k-1));
     k columns give V's first k."""
     x = _as_matrix(rv, x, "x")
-    F = _conditionals(rv, x, {})
+    F = _conditionals(rv, {(a, frozenset()): x[:, a - 1] for a in range(1, x.shape[1] + 1)})
     v = np.empty_like(x)
     for k in range(1, x.shape[1] + 1):
         v[:, k - 1] = F(k, frozenset(range(1, k)))
@@ -264,25 +263,16 @@ def vine_rosenblatt_inverse(rv: RVineSpec, v, keep=None) -> np.ndarray:
     the mapped entries are bit-identical to the full map's.
     """
     v = _as_matrix(rv, v, "v")
-    x = np.full_like(v, np.nan)
-    xs, rows, memo = x, None, {}  # the mapped rows' columns, their indices in x
-    F = _conditionals(rv, xs, memo)
-    for k in range(1, v.shape[1] + 1):
-        t = v[:, k - 1] if rows is None else v[rows, k - 1]
-        for pair, m, D in reversed(rv._joins[k - 1]):
-            memo[k, D | {m}] = t  # t is F(k | D + {m}) here; later columns read it
+
+    def step(k, t, memo):
+        F = _conditionals(rv, memo)
+        for pair, m, D in reversed(rv._joins[k]):
+            memo[k + 1, D | {m}] = t  # t is F(k + 1 | D + {m}) here; later columns read it
             t = h_inv(pair, t, F(m, D))
-        xs[:, k - 1] = t
-        if rows is not None:
-            x[rows, k - 1] = t
-        if keep is not None and k < v.shape[1]:
-            kept = np.flatnonzero(keep(k, t))
-            if kept.size < t.size:
-                rows = kept if rows is None else rows[kept]
-                xs = xs[kept]
-                memo = {key: z[kept] for key, z in memo.items()}
-                F = _conditionals(rv, xs, memo)
-    return x
+        memo[k + 1, frozenset()] = t
+        return t
+
+    return _by_column(v, step, keep)
 
 
 def sample_vine_uniforms(s: RngStream, rv: RVineSpec, n: int) -> np.ndarray:

@@ -20,11 +20,9 @@ towards the event on it. IEEE subtraction keeps the sign, so the
 latent-family indicators are the score test itself, bit for bit.
 
 The is-t1 and is-t3 indicators, the crude estimate's among them, map only
-the rows that can still reach the corner. On a vine, column k + 1 is mapped
-only on the rows whose columns 1..k lie inside it. A parametric model maps
-the rows whose first coordinate can still reach it: every parametric inverse
-map passes the first uniform through as that coordinate (the Gaussian's to
-within 2.2e-16). The scores map every row.
+the rows that can still reach the corner: on every model, column k + 1 is
+mapped only on the rows whose columns 1..k lie inside it. The scores map
+every row.
 
 Every method draws replication r from ``make_stream(seed, r)``. A block of
 consecutive replications is one function call: it draws from the block of
@@ -178,16 +176,6 @@ class _Plan:
     reflected: bool
 
 
-def _is_vine(model) -> bool:
-    return isinstance(model, RVineSpec)
-
-
-def _rinv(model, v: np.ndarray) -> np.ndarray:
-    if _is_vine(model):
-        return vine_rosenblatt_inverse(model, v)
-    return rosenblatt_inverse(model, v)
-
-
 def _row_min(a: np.ndarray) -> np.ndarray:
     """``a.min(axis=1)``, taken column by column: on a few columns numpy
     does that in a third of the time of the axis reduction."""
@@ -203,33 +191,17 @@ def _corner_score(u: np.ndarray, u0: np.ndarray, direction: str) -> np.ndarray:
     return _row_min(u - u0 if direction == "upper" else u0 - u)
 
 
-# Column 1 of every parametric Rosenblatt inverse is v1, except that the
-# Gaussian map round-trips it through ndtr(ndtri(v1)), which stays within
-# 2.2e-16 of v1 from 2^-54 to the last double below 1. A row whose first
-# uniform misses the corner by more than the slack cannot be a hit, and the
-# exact corner test decides every other row.
-_FIRST_COLUMN_SLACK = 1e-12
-
-
 def _chain_hits(model, v: np.ndarray, u0: np.ndarray, direction: str) -> np.ndarray:
-    """``_corner_score(_rinv(model, v), u0, direction) > 0``, mapping only the
-    rows that can still reach the corner: on a vine, column k + 1 of the rows
-    inside it on columns 1..k; on a parametric model, the rows whose first
-    uniform lies inside it or within the slack of it."""
+    """``_corner_score(x, u0, direction) > 0`` for x the model's inverse
+    Rosenblatt map of v, mapping column k + 1 only on the rows inside the
+    corner on columns 1..k: a hit is a row kept through the last column."""
     upper = direction == "upper"
-    if _is_vine(model):
-        def keep(k, xk):
-            return xk > u0[k - 1] if upper else xk < u0[k - 1]
 
-        return _corner_score(vine_rosenblatt_inverse(model, v, keep), u0, direction) > 0.0
-    if upper:
-        rows = np.flatnonzero(v[:, 0] > u0[0] - _FIRST_COLUMN_SLACK)
-    else:
-        rows = np.flatnonzero(v[:, 0] < u0[0] + _FIRST_COLUMN_SLACK)
-    hits = np.zeros(v.shape[0], dtype=bool)
-    if rows.size:
-        hits[rows] = _corner_score(rosenblatt_inverse(model, v[rows]), u0, direction) > 0.0
-    return hits
+    def keep(k, xk):
+        return xk > u0[k - 1] if upper else xk < u0[k - 1]
+
+    rinv = vine_rosenblatt_inverse if isinstance(model, RVineSpec) else rosenblatt_inverse
+    return keep(model.d, rinv(model, v, keep)[:, -1])
 
 
 def _score_plan(f: TiltFamily, score, reflected: bool) -> _Plan:
@@ -250,6 +222,7 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
         t3 = cfg.method == "is-t3"
         f = TiltFamily("hazard-rate" if t3 else "trunc-exp-product", d)
         reflect = t3 and lower
+        rinv = vine_rosenblatt_inverse if isinstance(model, RVineSpec) else rosenblatt_inverse
 
         def rows(ts):
             return 1.0 - ts.x if reflect else ts.x
@@ -258,11 +231,11 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
             return _chain_hits(model, rows(ts), u0, ev.direction)
 
         def score(ts):
-            return _corner_score(_rinv(model, rows(ts)), u0, ev.direction)
+            return _corner_score(rinv(model, rows(ts)), u0, ev.direction)
 
         return _Plan(f, indicator, score, reflect)
 
-    if _is_vine(model):
+    if isinstance(model, RVineSpec):
         raise ConfigError(f"{cfg.method} tilts a parametric copula family; vines support "
                           "is-t1 and is-t3 through the conditional-inverse route")
     if cfg.method == "is-ld" and model.family != "student-t":

@@ -14,7 +14,6 @@ from tailtilt.copulas import (
     latent_thresholds,
     rosenblatt_forward,
     rosenblatt_inverse,
-    sample_copula_crude,
     sample_copula_uniforms,
     vine_preset,
     vine_rosenblatt_forward,
@@ -22,7 +21,7 @@ from tailtilt.copulas import (
 )
 from tailtilt.errors import DomainError, ParameterError, ShapeError
 from tailtilt.oracle import clayton_corner_prob, rect_prob_gaussian, rect_prob_t
-from tailtilt.randkit import MarginSpec, make_stream
+from tailtilt.randkit import MarginSpec, make_stream, margin_quantile
 
 STD_NORMAL = MarginSpec("std-normal")
 
@@ -299,11 +298,14 @@ def test_rosenblatt_maps_refuse_entries_outside_the_open_unit_interval(name, inv
 # crude samplers
 
 
-def test_gaussian_cim_route_matches_direct_bit_for_bit():
-    c = gaussian_spec(0.5)
+def test_gaussian_cim_route_maps_the_same_words_as_direct():
+    # both routes read the same words; they round apart because the inverse
+    # map passes v1 through and sums each column elementwise, where the
+    # latent route takes ndtr(ndtri(v1)) and a matrix product
+    c = gaussian_spec(0.5, 3)
     a = sample_copula_uniforms(c, make_stream(5, 0), 1000, route="direct")
     b = sample_copula_uniforms(c, make_stream(5, 0), 1000, route="cim")
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-15)
 
 
 def test_sampler_rejects_bad_route_and_size():
@@ -383,6 +385,8 @@ def test_t_heavy_tail_corner_matches_mixture_oracle(t_draws):
 )
 def test_crude_margins_pass_ks(c, margin_checks):
     dist, args = margin_checks
-    x = sample_copula_crude(c, make_stream(104, 0), 100_000)
+    u = sample_copula_uniforms(c, make_stream(104, 0), 100_000, "direct")
+    x = np.column_stack([margin_quantile(m, np.clip(u[:, i], 1e-15, 1.0 - 1e-15))
+                         for i, m in enumerate(c.margins)])
     for col in range(c.d):
         assert kstest(x[:, col], dist, args=args).pvalue > 0.001

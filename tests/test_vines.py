@@ -9,12 +9,14 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr
 
 from tailtilt.copulas import (
+    CopulaSpec,
     CornerEvent,
     PairCopula,
     RVineSpec,
     VineEdge,
     load_vine,
     parse_vine,
+    rosenblatt_inverse,
     sample_vine_uniforms,
     vine_preset,
     vine_rosenblatt_forward,
@@ -195,12 +197,29 @@ def test_column_prefix_matches_full_map(name):
         vine_rosenblatt_forward(rv, np.zeros((5, 0)))
 
 
-@pytest.mark.parametrize("name", ["3d", "4d", "5d", "5d-gaussian-d"])
+def equicorr(rho: float, d: int) -> np.ndarray:
+    return np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
+
+
+UNIF = MarginSpec("uniform01")
+# every chain map takes the same row test: the vines and the parametric maps
+KEEP_MODELS = {
+    "5d": parse_vine(FIVE_D),
+    "5d-gaussian-d": gaussian_vine(5, 0.5, "d"),
+    "gaussian-3d": CopulaSpec("gaussian", (UNIF,) * 3, sigma=equicorr(0.5, 3)),
+    "gaussian-4d": CopulaSpec("gaussian", (UNIF,) * 4, sigma=equicorr(-0.2, 4)),
+    "t0.5-3d": CopulaSpec("student-t", (UNIF,) * 3, sigma=equicorr(0.5, 3), nu=0.5),
+    "t5-3d": CopulaSpec("student-t", (UNIF,) * 3, sigma=equicorr(0.3, 3), nu=5.0),
+    "clayton-3d": CopulaSpec("clayton", (UNIF,) * 3, delta=3.0),
+}
+
+
+@pytest.mark.parametrize("name", ["3d", "4d", *KEEP_MODELS])
 def test_keep_maps_the_rows_it_keeps_to_the_full_maps_bits(name):
-    rv = {"5d": parse_vine(FIVE_D), "5d-gaussian-d": gaussian_vine(5, 0.5, "d")}.get(name)
-    rv = rv or vine_preset(name)
+    rv = KEEP_MODELS.get(name) or vine_preset(name)
+    rinv = vine_rosenblatt_inverse if isinstance(rv, RVineSpec) else rosenblatt_inverse
     v = make_stream(6, rv.d).uniforms(400 * rv.d).reshape(400, rv.d)
-    full = vine_rosenblatt_inverse(rv, v)
+    full = rinv(rv, v)
     dropped = {}
 
     def keep(k, xk):
@@ -208,7 +227,7 @@ def test_keep_maps_the_rows_it_keeps_to_the_full_maps_bits(name):
         dropped[k] = int(np.count_nonzero(~inside))
         return inside
 
-    x = vine_rosenblatt_inverse(rv, v, keep=keep)
+    x = rinv(rv, v, keep=keep)
     assert sorted(dropped) == list(range(1, rv.d)) and min(dropped.values()) > 0
     # column k + 1 is mapped on exactly the rows whose first k columns were kept
     mapped = np.ones(v.shape[0], dtype=bool)
