@@ -37,6 +37,8 @@ from ..randkit import (
     _check_size,
     _check_t_nu,
     _cholesky,
+    _t_cdf,
+    _t_quantile,
     margin_cdf,
     sample_gamma,
     sample_mvn,
@@ -152,13 +154,13 @@ def rosenblatt_forward(c: CopulaSpec, u) -> np.ndarray:
     L = _cholesky(c.sigma)
     if c.family == "gaussian":
         return ndtr(solve_triangular(L, ndtri(u).T, lower=True).T)
-    y = solve_triangular(L, stdtrit(c.nu, u).T, lower=True).T
+    y = solve_triangular(L, _t_quantile(c.nu, u).T, lower=True).T
     v = np.empty_like(u)
     v[:, 0] = u[:, 0]
     ss = y[:, 0] ** 2
     for k in range(1, c.d):
         df = c.nu + k
-        v[:, k] = stdtr(df, y[:, k] * np.sqrt(df / (c.nu + ss)))
+        v[:, k] = _t_cdf(df, y[:, k] * np.sqrt(df / (c.nu + ss)))
         ss += y[:, k] ** 2
     return v
 
@@ -214,7 +216,7 @@ def _elliptical_step(c: CopulaSpec):
             return ndtri(vk)
         ss = memo.get("ss", 0.0)  # at k = 0 the scale is nu / nu, exactly 1
         df = c.nu + k
-        y = stdtrit(df, vk) * np.sqrt((c.nu + ss) / df)
+        y = _t_quantile(df, vk) * np.sqrt((c.nu + ss) / df)
         memo["ss"] = ss + y**2
         return y
 
@@ -228,7 +230,7 @@ def _elliptical_step(c: CopulaSpec):
         z = L[k, 0] * memo[0]
         for j in range(1, k + 1):
             z += L[k, j] * memo[j]
-        return ndtr(z) if c.family == "gaussian" else stdtr(c.nu, z)
+        return ndtr(z) if c.family == "gaussian" else _t_cdf(c.nu, z)
 
     return step
 

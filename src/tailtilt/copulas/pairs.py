@@ -4,8 +4,10 @@ For a pair copula C(v1, v2) the h-function is the conditional CDF of the
 second argument given the first, h(v2 | v1) = dC(v1, v2)/dv1. Every family
 here is exchangeable, so a single formula serves both conditioning orders
 (callers swap arguments when they need the other one). Gaussian, t, Clayton,
-and Frank inverses exist in closed form; Gumbel and Joe are inverted
-numerically to 1e-10 by a bracketed Newton iteration in a transformed
+and Frank inverses exist in closed form; the t pair's take their t CDFs and
+quantiles from ``randkit._t_cdf`` and ``randkit._t_quantile``, numpy forms
+for integer nu up to 8 and scipy's for any other nu. Gumbel and Joe are
+inverted numerically to 1e-10 by a bracketed Newton iteration in a transformed
 coordinate where the root problem is monotone and well scaled. Joe's starts
 at the root of its equation without the log1p(-t) term, which lies at or
 above the true one, and stops once a step moves t by at most 1e-12 of
@@ -23,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr, stdtrit
+from scipy.special import ndtr, ndtri
 
 from ..errors import ParameterError, SolverError
-from ..randkit import _check_clayton_delta, _check_t_nu
+from ..randkit import _check_clayton_delta, _check_t_nu, _t_cdf, _t_quantile
 
 __all__ = ["PairCopula", "h_func", "h_inv"]
 
@@ -83,9 +85,9 @@ def h_func(pc: PairCopula, v2, v1) -> np.ndarray:
         out = ndtr((q2 - pc.rho * q1) / np.sqrt(1.0 - pc.rho**2))
     elif pc.family == "student-t":
         nu, rho = pc.nu, pc.rho
-        q2, q1 = stdtrit(nu, v2), stdtrit(nu, v1)
+        q2, q1 = _t_quantile(nu, v2), _t_quantile(nu, v1)
         z = np.sqrt((nu + 1.0) / (nu + q1**2)) * (q2 - rho * q1) / np.sqrt(1.0 - rho**2)
-        out = stdtr(nu + 1.0, z)
+        out = _t_cdf(nu + 1.0, z)
     elif pc.family == "clayton":
         d = pc.delta
         l1, l2 = -d * np.log(v1), -d * np.log(v2)
@@ -121,9 +123,9 @@ def h_inv(pc: PairCopula, q, v1) -> np.ndarray:
         out = ndtr(np.sqrt(1.0 - pc.rho**2) * ndtri(q) + pc.rho * ndtri(v1))
     elif pc.family == "student-t":
         nu, rho = pc.nu, pc.rho
-        q1 = stdtrit(nu, v1)
+        q1 = _t_quantile(nu, v1)
         scale = np.sqrt((nu + q1**2) * (1.0 - rho**2) / (nu + 1.0))
-        out = stdtr(nu, stdtrit(nu + 1.0, q) * scale + rho * q1)
+        out = _t_cdf(nu, _t_quantile(nu + 1.0, q) * scale + rho * q1)
     elif pc.family == "clayton":
         d = pc.delta
         log_b = -d * np.log(v1)

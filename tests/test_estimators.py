@@ -525,10 +525,15 @@ def test_crude_chain_routes_match_the_full_map(name, lower):
     assert (got.u_hat, got.sd) == want
 
 
+# the t copula takes numpy's t kernel at nu = 5 (BLOCK_CASES) and scipy's at 2.5
+ZERO_TILT_CASES = {**BLOCK_CASES,
+                   "student-t-nu2.5": (replace(T_MODEL, nu=2.5),) + BLOCK_CASES["student-t"][1:]}
+
+
 @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
-@pytest.mark.parametrize("name", list(BLOCK_CASES))
+@pytest.mark.parametrize("name", list(ZERO_TILT_CASES))
 def test_crude_is_t1_at_the_zero_tilt(name, lower):
-    model, up, low, _ = BLOCK_CASES[name]
+    model, up, low, _ = ZERO_TILT_CASES[name]
     ev = low if lower else up
     d = model.d
     cfg = ExperimentConfig(model, ev, "naive", n=300, M=12, seed=45)

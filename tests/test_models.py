@@ -1,5 +1,7 @@
 """Copula model construction, event transforms, Rosenblatt maps, samplers."""
 
+import mp_t
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr, stdtr, stdtrit
@@ -223,6 +225,8 @@ def test_bivariate_forward_agrees_with_pair_h(c, pc):
 
 # the 4-d tridiagonal correlation: its Cholesky factor is bidiagonal
 TRIDIAG_4 = np.eye(4) + np.diag([0.5, 0.4, -0.3], 1) + np.diag([0.5, 0.4, -0.3], -1)
+# every how many rows of 50,000 the t maps are checked, by dimension
+ROWS_STEP = {2: 100, 4: 250}
 
 
 def _t_conditional(sigma, nu, q, k):
@@ -235,31 +239,45 @@ def _t_conditional(sigma, nu, q, k):
     return q[:, :k] @ w, scale, nu + k
 
 
+def _mp_t_cdf(df, x):
+    with mpmath.workdps(30):
+        return np.array([float(mp_t.t_cdf(df, float(a))) for a in x])
+
+
+def _mp_t_quantile(df, p):
+    with mpmath.workdps(30):
+        return np.array([float(mp_t.t_quantile(df, float(a), start=float(stdtrit(df, a))))
+                         for a in p])
+
+
 def _t_forward_reference(c, u):
-    q = stdtrit(c.nu, u)
+    q = np.column_stack([_mp_t_quantile(c.nu, u[:, k]) for k in range(c.d)])
     v = u.copy()
     for k in range(1, c.d):
         loc, scale, df = _t_conditional(c.sigma, c.nu, q, k)
-        v[:, k] = stdtr(df, (q[:, k] - loc) / scale)
+        v[:, k] = _mp_t_cdf(df, (q[:, k] - loc) / scale)
     return v
 
 
 def _t_inverse_reference(c, v):
     q = np.empty_like(v)
-    q[:, 0] = stdtrit(c.nu, v[:, 0])
+    q[:, 0] = _mp_t_quantile(c.nu, v[:, 0])
     for k in range(1, c.d):
         loc, scale, df = _t_conditional(c.sigma, c.nu, q, k)
-        q[:, k] = loc + scale * stdtrit(df, v[:, k])
-    u = stdtr(c.nu, q)
-    u[:, 0] = v[:, 0]
+        q[:, k] = loc + scale * _mp_t_quantile(df, v[:, k])
+    u = v.copy()
+    for k in range(1, c.d):
+        u[:, k] = _mp_t_cdf(c.nu, q[:, k])
     return u
 
 
 @pytest.mark.parametrize("nu", [0.2, 3.0, 30.0])
 @pytest.mark.parametrize("sigma", [corr(-0.6), TRIDIAG_4], ids=["d2", "d4-tridiagonal"])
 def test_t_maps_match_the_conditional_law(sigma, nu):
+    # the references take the t quantiles and CDFs from mpmath, on a subsample
+    # of the rows: scipy's quantile is off by up to 3e-9 near 1/2 at df = 4
     c = CopulaSpec("student-t", (STD_NORMAL,) * len(sigma), sigma=sigma, nu=nu)
-    w = make_stream(17, 0).uniforms(50_000 * c.d).reshape(-1, c.d)
+    w = make_stream(17, 0).uniforms(50_000 * c.d).reshape(-1, c.d)[::ROWS_STEP[c.d]]
     np.testing.assert_allclose(rosenblatt_forward(c, w), _t_forward_reference(c, w),
                                rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(rosenblatt_inverse(c, w), _t_inverse_reference(c, w),

@@ -42,6 +42,9 @@ def test_sweep_diff_counts_and_bounds(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "identical rows: 1" in out and "moved rows: 1" in out
     assert "largest move: 0.2236" in out
+    assert "largest relative move: 0.01 at ('is-t1'" in out
     assert sweep_diff.main([before, far, "--reps", "40"]) == 1
+    assert "largest relative move: 0.19 at ('is-t1'" in capsys.readouterr().out
     assert sweep_diff.main([before, short, "--reps", "40"]) == 1
-    assert "only in before" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "only in before" in out and "largest relative move: 0\n" in out

@@ -7,8 +7,10 @@ Run from the repository root:
 Rows are paired by method, family, params and p. A pair is identical when
 every column but ``seconds`` and ``wnrv`` matches; otherwise it has moved,
 by |Δu_hat| / √((sd₁² + sd₂²) / reps) combined standard errors. The script
-prints the two counts and the largest move, and exits 1 when the two files
-hold different cells or any move exceeds 4.
+prints the two counts, the largest move, and the largest relative move
+|Δu_hat| / u_hat among the moved rows, which tells a move in the last digits
+from a redraw; it exits 1 when the two files hold different cells or any
+move exceeds 4.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ def moved_by(a: dict, b: dict, reps: int) -> float:
     return du / se if se > 0.0 else (0.0 if du == 0.0 else math.inf)
 
 
+def moved_rel(a: dict, b: dict) -> float:
+    """|Δu_hat| relative to the first file's u_hat."""
+    du = abs(float(a["u_hat"]) - float(b["u_hat"]))
+    u = abs(float(a["u_hat"]))
+    return du / u if u > 0.0 else (0.0 if du == 0.0 else math.inf)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("before")
@@ -60,13 +69,16 @@ def main(argv=None) -> int:
         if all(a[k] == b[k] for k in a if k not in TIMING):
             identical += 1
         else:
-            moves.append((moved_by(a, b, opt.reps), cell))
-    worst = max(moves, default=(0.0, None))
+            moves.append((moved_by(a, b, opt.reps), moved_rel(a, b), cell))
+    worst = max(moves, default=(0.0, 0.0, None))
+    worst_rel = max(moves, key=lambda m: m[1], default=(0.0, 0.0, None))
     print(f"identical rows: {identical}")
     print(f"moved rows: {len(moves)}")
     print(f"largest move: {worst[0]:.4g} combined standard errors"
-          + (f" at {worst[1]}" if worst[1] is not None else ""))
-    for z, cell in moves:
+          + (f" at {worst[2]}" if worst[2] is not None else ""))
+    print(f"largest relative move: {worst_rel[1]:.4g}"
+          + (f" at {worst_rel[2]}" if worst_rel[2] is not None else ""))
+    for z, _, cell in moves:
         if z > BOUND:
             print(f"beyond {BOUND:g}: {z:.4g} at {cell}")
             ok = False
