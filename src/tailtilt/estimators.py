@@ -26,9 +26,15 @@ every row.
 
 Every method draws replication r from ``make_stream(seed, r)``. A block of
 consecutive replications is one function call: it draws from the block of
-their streams and tests the event once on all their rows, and each
-replication's estimate is the mean of its own rows, so results are
-bit-identical for any block size and thread count.
+their streams, and each replication's estimate is the mean of its own
+rows. The latent methods test the event once on all the block's rows.
+Column 1 of every chain is v1 itself, so the chain methods test it on the
+block and pool the rows inside the corner there over consecutive blocks,
+of which a crude or is-t3 block keeps from about ten to a few hundred: the
+chain maps a pool of at most ``_BLOCK_ROWS`` rows in one call, so numpy's
+fixed cost per call is paid per pool instead of per block. Every chain
+step acts elementwise, so results are bit-identical for any block size,
+pooling and thread count.
 With the tilt vector at zero the importance samplers draw their family's
 base measure bit for bit: is-t1 and is-t3 the conditional-inverse chain,
 which is the crude estimate, and is-t2 the latent construction of
@@ -170,10 +176,19 @@ class EstimateResult:
 
 @dataclass(frozen=True)
 class _Plan:
+    """A method's tilting family, event indicator and score. The chain
+    methods also give ``uniforms(ts)``, the rows the chain maps, ``keep(k,
+    x_k)``, the corner test of column k, and ``hits(v)``, the indicator on
+    such rows; column 1 of the chain is v1 itself, so ``keep(1, v[:, 0])``
+    picks the rows the chain has to map at all."""
+
     family: TiltFamily
     indicator: object
     score: object
     reflected: bool
+    uniforms: object = None
+    keep: object = None
+    hits: object = None
 
 
 def _row_min(a: np.ndarray) -> np.ndarray:
@@ -191,15 +206,22 @@ def _corner_score(u: np.ndarray, u0: np.ndarray, direction: str) -> np.ndarray:
     return _row_min(u - u0 if direction == "upper" else u0 - u)
 
 
-def _chain_hits(model, v: np.ndarray, u0: np.ndarray, direction: str) -> np.ndarray:
-    """``_corner_score(x, u0, direction) > 0`` for x the model's inverse
-    Rosenblatt map of v, mapping column k + 1 only on the rows inside the
-    corner on columns 1..k: a hit is a row kept through the last column."""
+def _corner_keep(u0: np.ndarray, direction: str):
+    """``keep(k, x_k)``: which of the values x_k of column k (counting from
+    1) lie inside the corner on that column."""
     upper = direction == "upper"
 
     def keep(k, xk):
         return xk > u0[k - 1] if upper else xk < u0[k - 1]
 
+    return keep
+
+
+def _chain_hits(model, v: np.ndarray, u0: np.ndarray, direction: str) -> np.ndarray:
+    """``_corner_score(x, u0, direction) > 0`` for x the model's inverse
+    Rosenblatt map of v, mapping column k + 1 only on the rows inside the
+    corner on columns 1..k: a hit is a row kept through the last column."""
+    keep = _corner_keep(u0, direction)
     rinv = vine_rosenblatt_inverse if isinstance(model, RVineSpec) else rosenblatt_inverse
     return keep(model.d, rinv(model, v, keep)[:, -1])
 
@@ -227,13 +249,14 @@ def _plan_for(cfg: ExperimentConfig) -> _Plan:
         def rows(ts):
             return 1.0 - ts.x if reflect else ts.x
 
-        def indicator(ts):
-            return _chain_hits(model, rows(ts), u0, ev.direction)
+        def hits(v):
+            return _chain_hits(model, v, u0, ev.direction)
 
         def score(ts):
             return _corner_score(rinv(model, rows(ts)), u0, ev.direction)
 
-        return _Plan(f, indicator, score, reflect)
+        return _Plan(f, lambda ts: hits(rows(ts)), score, reflect, rows,
+                     _corner_keep(u0, ev.direction), hits)
 
     if isinstance(model, RVineSpec):
         raise ConfigError(f"{cfg.method} tilts a parametric copula family; vines support "
@@ -315,6 +338,9 @@ def _resolve_theta(cfg: ExperimentConfig, plan: _Plan) -> tuple[np.ndarray, floa
 
 
 _BLOCK_ROWS = 3072  # rows per block of replications, chosen by measurement
+# the most rows of blocks that wait for their pool at once: their weights
+# wait with them, so this bounds the memory held where few rows pass column 1
+_PENDING_ROWS = 1 << 18
 
 
 def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
@@ -323,10 +349,16 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     Replication r draws from ``make_stream(cfg.seed, r)``. For every
     method, the crude one at is-t1's zero tilt, a block of about
     ``_BLOCK_ROWS`` rows of consecutive replications is one
-    ``sample_tilted`` call on the block of their streams and one event test
-    on all their rows. Each replication's estimate is the mean of its own n
-    terms, so the result is bit-identical for any block size and
-    ``threads``; more than one thread spreads the blocks over a pool.
+    ``sample_tilted`` call on the block of their streams. The latent
+    methods test the event once on all the block's rows. The chain methods
+    test column 1, which the chain maps to itself, and pool the rows inside
+    the corner there over consecutive blocks: the chain maps each pool of at
+    most ``_BLOCK_ROWS`` rows in one call, and a block with more than half
+    that many such rows on its own. Each replication's estimate is the mean
+    of its own n terms, and every chain step acts elementwise, so the
+    result is bit-identical for any block size, pooling and ``threads``;
+    more than one thread splits the blocks into that many runs of
+    consecutive blocks, each pooling its own rows.
     Solving for the tilt, when ``cfg.theta`` is None, happens before the
     clock starts and is timed on its own as ``solve_seconds``; a solve that
     did not converge raises :class:`SolverError` carrying the solver's
@@ -340,22 +372,62 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
     M, n = cfg.M, cfg.n
     B = max(1, _BLOCK_ROWS // n)
     est = np.empty(M)
+    within = []  # with one replication, the spread of its terms
 
-    def run(r0: int) -> np.ndarray:
-        rs = range(r0, min(r0 + B, M))
-        ts = sample_tilted(plan.family, make_stream(cfg.seed, rs), theta, n)
-        terms = plan.indicator(ts) * np.exp(ts.log_lr)
+    def finish(rs: range, terms: np.ndarray) -> None:
         est[rs.start:rs.stop] = terms.reshape(len(rs), n).mean(axis=1)
-        return terms
+        if M == 1:
+            within.append(float(terms.std() / np.sqrt(n)))
 
+    def run(starts: range) -> None:
+        # the blocks waiting for their pool to be mapped, as (replications,
+        # weights, indices of their pooled rows), and the pooled rows
+        pending, pool = [], []
+        pooled = waiting = 0
+
+        def flush():
+            nonlocal pooled, waiting
+            hits = plan.hits(np.concatenate(pool)) if pooled else np.zeros(0, dtype=bool)
+            at = 0
+            for rs, w, idx in pending:
+                hit = np.zeros(w.size, dtype=bool)
+                hit[idx] = hits[at:at + idx.size]
+                at += idx.size
+                finish(rs, hit * w)
+            pending.clear()
+            pool.clear()
+            pooled = waiting = 0
+
+        for r0 in starts:
+            rs = range(r0, min(r0 + B, M))
+            ts = sample_tilted(plan.family, make_stream(cfg.seed, rs), theta, n)
+            w = np.exp(ts.log_lr)
+            if plan.hits is None:
+                finish(rs, plan.indicator(ts) * w)
+                continue
+            v = plan.uniforms(ts)
+            idx = np.flatnonzero(plan.keep(1, v[:, 0]))
+            if 2 * idx.size > _BLOCK_ROWS:  # gathering its rows would only copy them
+                hit = [plan.hits(v[i:i + _BLOCK_ROWS]) for i in range(0, len(v), _BLOCK_ROWS)]
+                finish(rs, np.concatenate(hit) * w)
+                continue
+            if pooled + idx.size > _BLOCK_ROWS or waiting + w.size > _PENDING_ROWS:
+                flush()
+            pending.append((rs, w, idx))
+            pool.append(v[idx])
+            pooled += idx.size
+            waiting += w.size
+        flush()
+
+    starts = range(0, M, B)
+    k = min(threads, len(starts))  # runs of consecutive blocks, one per thread
     t0 = time.perf_counter()
-    if threads == 1 or M <= B:
-        for r0 in range(0, M, B):
-            terms = run(r0)
+    if k == 1:
+        run(starts)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(run, range(0, M, B)):
-                pass
+        with ThreadPoolExecutor(max_workers=k) as ex:
+            list(ex.map(run, [starts[i * len(starts) // k:(i + 1) * len(starts) // k]
+                              for i in range(k)]))
     seconds = time.perf_counter() - t0
 
     u_hat = float(est.mean())
@@ -363,7 +435,7 @@ def replicate(cfg: ExperimentConfig, *, threads: int = 1) -> EstimateResult:
         sd = float(est.std(ddof=1))
         sd_within = False
     else:
-        sd = float(terms.std() / np.sqrt(cfg.n))
+        sd = within[0]
         sd_within = True
     wn = (sd * sd / (u_hat * u_hat)) * (seconds / M) if u_hat > 0.0 else None
     return EstimateResult(u_hat=u_hat, sd=sd, n=cfg.n, reps=M, seconds=seconds,

@@ -192,7 +192,9 @@ def margin_cdf(m: MarginSpec, x):
 
 
 def margin_quantile(m: MarginSpec, q):
-    """F^{-1}(q) for q strictly inside (0,1)."""
+    """F^{-1}(q) for q strictly inside (0,1). A t margin takes
+    :func:`_t_quantile` and raises :class:`DomainError` where the quantile
+    it finds is not finite."""
     q = np.asarray(q, dtype=np.float64)
     if np.any(q <= 0.0) or np.any(q >= 1.0):
         raise DomainError("quantile argument must lie strictly inside (0,1)")
@@ -201,7 +203,12 @@ def margin_quantile(m: MarginSpec, q):
     if m.family == "exponential":
         return -np.log1p(-q) / m.rate
     if m.family == "student-t":
-        return stdtrit(m.df, q)
+        x = _t_quantile(m.df, q)
+        lost = ~np.isfinite(x)
+        if lost.any():
+            raise DomainError(f"the student-t quantile with df={m.df:g} is not finite "
+                              f"at q={np.broadcast_to(q, x.shape)[lost][0]:.6g}")
+        return x[()]
     return q
 
 

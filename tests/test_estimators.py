@@ -502,6 +502,82 @@ def test_blocks_of_any_size_give_the_same_bits(monkeypatch, name, lower):
             assert blocks.sd_within_run == (M == 1)
 
 
+# (model, upper corner, lower corner) with about 2.5% of the rows inside the
+# corner on column 1, so that a pool of ``_BLOCK_ROWS`` rows spans about 40
+# blocks of crude draws
+POOL_CASES = {
+    "vine-3d": (VINE_3D, upper(0.975, 3), CornerEvent("lower", (0.025,) * 3)),
+    "vine-4d": (VINE_4D, upper(0.975, 4), CornerEvent("lower", (0.025,) * 4)),
+    "student-t": (T_MODEL, upper(4.3), CornerEvent("lower", (-4.3, -4.3))),
+    "clayton": (CLAYTON_MODEL, upper(1.96), CornerEvent("lower", (-1.96, -1.96))),
+}
+# the hazard twist at 0.05 keeps about 3% of the rows on column 1; the
+# trunc-exp tilt at 28.7 keeps about half, so that some blocks are mapped in
+# place and the others pooled
+POOL_TILTS = {"naive": None, "is-t3": (0.05,), "is-t1": 28.7}
+
+
+def _counting_chain_maps(monkeypatch) -> list:
+    """Wrap both chain maps as ``estimators`` reaches them; the list gets the
+    row count of every call."""
+    rows = []
+    for attr in ("rosenblatt_inverse", "vine_rosenblatt_inverse"):
+        def counted(model, v, *args, _orig=getattr(estimators, attr)):
+            rows.append(len(v))
+            return _orig(model, v, *args)
+
+        monkeypatch.setattr(estimators, attr, counted)
+    return rows
+
+
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+@pytest.mark.parametrize("name", list(POOL_CASES))
+def test_pools_that_span_many_blocks_give_the_same_bits(monkeypatch, name, lower):
+    model, up, low = POOL_CASES[name]
+    ev = low if lower else up
+    n = 1000
+    B = estimators._BLOCK_ROWS // n
+    M = 100 * B  # 100 blocks
+    for method, theta in POOL_TILTS.items():
+        if method == "is-t1":
+            theta = (-theta if lower else theta,) * model.d
+        cfg = ExperimentConfig(model, ev, method, n=n, M=M, seed=47, theta=theta)
+        with monkeypatch.context() as mp:
+            rows = _counting_chain_maps(mp)
+            pooled = replicate(cfg)
+        if method != "is-t1":
+            assert 20 * len(rows) < M // B, (method, len(rows))  # > 20 blocks a pool
+        assert pooled.u_hat > 0.0
+        threads = replicate(cfg, threads=2)
+        with monkeypatch.context() as mp:
+            mp.setattr(estimators, "_PENDING_ROWS", 4 * B * n)  # the cap flushes
+            rows = _counting_chain_maps(mp)
+            capped = replicate(cfg)
+        assert len(rows) >= M // (4 * B), (method, len(rows))
+        with monkeypatch.context() as mp:
+            mp.setattr(estimators, "_BLOCK_ROWS", n)  # one stream per block
+            single = replicate(cfg)
+        assert _bits(pooled) == _bits(capped) == _bits(threads) == _bits(single), method
+
+
+@pytest.mark.parametrize("name", ["vine-4d", "student-t"])
+def test_no_chain_call_exceeds_the_block_rows(monkeypatch, name):
+    # the vine chain grows the heap on calls of many thousand rows; every
+    # pool, every block mapped in place and every slice of a block larger
+    # than a pool stays within ``_BLOCK_ROWS``
+    model, up, _ = POOL_CASES[name]
+    rows = _counting_chain_maps(monkeypatch)
+    for method, theta in POOL_TILTS.items():
+        if method == "is-t1":
+            theta = (100.0,) * model.d  # keeps about 92% of the rows
+        for n, M in ((500, 60), (5000, 3)):
+            replicate(ExperimentConfig(model, up, method, n=n, M=M, seed=48, theta=theta))
+            replicate(ExperimentConfig(model, up, method, n=n, M=M, seed=48, theta=theta),
+                      threads=2)
+    assert rows and max(rows) <= estimators._BLOCK_ROWS
+    assert sum(r == estimators._BLOCK_ROWS for r in rows) >= 2  # a large block sliced
+
+
 @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
 @pytest.mark.parametrize("name", ["vine-3d", "vine-4d", "gaussian-cim", "student-t",
                                   "clayton"])

@@ -48,3 +48,22 @@ def test_sweep_diff_counts_and_bounds(tmp_path, capsys):
     assert sweep_diff.main([before, short, "--reps", "40"]) == 1
     out = capsys.readouterr().out
     assert "only in before" in out and "largest relative move: 0\n" in out
+
+
+def test_sweep_diff_exact_fails_on_any_moved_row(tmp_path, capsys):
+    before = write(tmp_path / "a.csv", [row("naive", "rho=0", "0.05"),
+                                        row("is-t1", SIGMA4, "0.05")])
+    # only timing differs: identical under --exact
+    timed = write(tmp_path / "b.csv", [row("naive", "rho=0", "0.05", seconds="0.2"),
+                                       row("is-t1", SIGMA4, "0.05", seconds="0.3")])
+    # a move in the last digit, far inside the 4-se bound
+    ulp = write(tmp_path / "c.csv", [row("naive", "rho=0", "0.05"),
+                                     row("is-t1", SIGMA4, "0.05000000000000001")])
+
+    assert sweep_diff.main([before, timed, "--reps", "40", "--exact"]) == 0
+    assert "moved rows: 0" in capsys.readouterr().out
+    assert sweep_diff.main([before, ulp, "--reps", "40"]) == 0
+    capsys.readouterr()
+    assert sweep_diff.main([before, ulp, "--reps", "40", "--exact"]) == 1
+    out = capsys.readouterr().out
+    assert "moved rows: 1" in out and "--exact: 1 rows moved" in out

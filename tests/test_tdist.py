@@ -12,7 +12,8 @@ from mp_t import t_cdf as mp_cdf
 from mp_t import t_quantile as mp_quantile
 from scipy.special import stdtr, stdtrit
 
-from tailtilt.randkit import _T_INT_MAX, _t_cdf, _t_quantile
+from tailtilt.errors import DomainError
+from tailtilt.randkit import _T_INT_MAX, MarginSpec, _t_cdf, _t_quantile, margin_quantile
 
 NUS = list(range(1, _T_INT_MAX + 1))
 ABS = 2.0**-52  # largest absolute error of F
@@ -76,3 +77,23 @@ def test_quantile_near_one_half(nu, e):
         want = mp_quantile(nu, p, start=float(stdtrit(nu, p)))
         err = abs(mpmath.mpf(float(_t_quantile(nu, p))) - want)
         assert err <= 1e-15 * abs(want), float(err / abs(want))
+
+
+@pytest.mark.parametrize("nu", [2, 3, 5])
+def test_t_margin_quantile_matches_mpmath_far_out_and_near_one_half(nu):
+    # scipy's stdtrit(5, 1e-300) reads +inf where the quantile is -1.57e60
+    m = MarginSpec("student-t", df=float(nu))
+    for q in (1e-300, 1e-200, 0.5 - 1e-9, 0.5 + 1e-9):
+        x = float(margin_quantile(m, q))
+        with mpmath.workdps(60):
+            want = mp_quantile(nu, q, start=x)
+        assert abs(mpmath.mpf(x) - want) <= 1e-15 * abs(want), (q, x)
+
+
+def test_t_margin_quantile_refuses_a_value_it_cannot_hold():
+    # scipy's quantile at nu = 2.5 overflows at 1e-300; at nu = 1 the
+    # quantile at the smallest subnormal is below -1.8e308
+    with pytest.raises(DomainError, match=r"df=2\.5 is not finite at q=1e-300"):
+        margin_quantile(MarginSpec("student-t", df=2.5), [0.3, 1e-300])
+    with pytest.raises(DomainError, match="df=1 "):
+        margin_quantile(MarginSpec("student-t", df=1.0), 5e-324)

@@ -10,7 +10,9 @@ by |Δu_hat| / √((sd₁² + sd₂²) / reps) combined standard errors. The scr
 prints the two counts, the largest move, and the largest relative move
 |Δu_hat| / u_hat among the moved rows, which tells a move in the last digits
 from a redraw; it exits 1 when the two files hold different cells or any
-move exceeds 4.
+move exceeds 4. With ``--exact`` it also exits 1 when any row moved at all,
+so that a change meant to keep every estimate's bits shows it by the exit
+code.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ def main(argv=None) -> int:
     ap.add_argument("before")
     ap.add_argument("after")
     ap.add_argument("--reps", type=int, required=True, help="replications per cell (--reps)")
+    ap.add_argument("--exact", action="store_true", help="fail on any moved row")
     opt = ap.parse_args(argv)
     before, after = read(opt.before), read(opt.after)
 
@@ -82,6 +85,9 @@ def main(argv=None) -> int:
         if z > BOUND:
             print(f"beyond {BOUND:g}: {z:.4g} at {cell}")
             ok = False
+    if opt.exact and moves:
+        print(f"--exact: {len(moves)} rows moved")
+        ok = False
     return 0 if ok else 1
 
 
